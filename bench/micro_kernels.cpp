@@ -11,14 +11,15 @@
 //
 // Report: for each of the six vectorized hot kernels (batched Doppler
 // FFT, easy/hard beamforming GEMM, pulse-compression fast convolution,
-// QR factorization, recursive QR row-append) the binary prints scalar and
-// AVX2 times, the speedup, and a roofline placement — achieved GFLOP/s
+// QR factorization, recursive QR row-append) and the hard weight solve
+// built on the row append, the binary prints scalar and AVX2 times, the
+// speedup, and a roofline placement — achieved GFLOP/s
 // (flops measured by the library's own FlopScope instrumentation) against
 // min(FMA peak, intensity x stream bandwidth), both peaks measured on the
 // spot by probes in the dispatch tables. Gates (folded into the exit code
 // and BENCH_kernels.json for scripts/bench_compare.py):
 //
-//   * geometric-mean AVX2 speedup across the six kernels >= 2.0,
+//   * geometric-mean AVX2 speedup across the six hot kernels >= 2.0,
 //   * sequential pipeline analogue (Table-8 scene, reduced) >= 1.3x.
 //
 // Both gates skip gracefully when the host or build lacks AVX2+FMA.
@@ -165,6 +166,7 @@ struct HotKernel {
   std::string name;
   std::function<void()> fn;
   double bytes_per_call = 0.0;  // analytic input+output traffic
+  bool gated = true;            // counts toward the geomean speedup gate
   double flops_per_call = 0.0;  // measured via FlopScope
 };
 
@@ -269,6 +271,34 @@ std::vector<HotKernel> make_hot_kernels() {
                       sizeof(cfloat)});
   }
 
+  // 7. The hard weight solve: the J constraint rows appended to a carried
+  //    2J x 2J R with the M steering right-hand sides carried through the
+  //    same reflectors, then back-substitution. It composes the row append
+  //    above, so it is reported but left out of the geomean gate.
+  {
+    const index_t j = p.num_channels, jj = p.num_staggered_channels();
+    const index_t m = p.num_beams;
+    auto r0 = std::make_shared<linalg::MatrixCF>(
+        linalg::QrFactorization<cfloat>(random_matrix(3 * jj, jj, 16)).r());
+    auto c = std::make_shared<linalg::MatrixCF>(j, jj);
+    for (index_t row = 0; row < j; ++row) {
+      (*c)(row, row) = cfloat(0.5f, 0.0f);
+      (*c)(row, j + row) = cfloat(0.3f, -0.4f);
+    }
+    auto s = std::make_shared<linalg::MatrixCF>(random_matrix(j, m, 17));
+    ks.push_back({"hard_solve",
+                  [r0, c, s, jj, m] {
+                    linalg::MatrixCF rhs(jj, m), xrhs = *s;
+                    const auto r =
+                        linalg::qr_append_rows(*r0, *c, &rhs, &xrhs);
+                    linalg::back_substitute(r, rhs);
+                  },
+                  (2.0 * jj * jj + static_cast<double>(j) * jj +
+                   2.0 * (jj + j) * m) *
+                      sizeof(cfloat),
+                  false});
+  }
+
   // Measure algorithmic flops once per kernel through the library's own
   // instrumentation (identical at both dispatch levels by construction).
   for (auto& k : ks) {
@@ -347,11 +377,15 @@ int main(int argc, char** argv) {
               "scalar", "avx2", "speedup", "GFLOP/s", "F/B", "roof%",
               "bound");
   double log_sum = 0.0;
+  int gated = 0;
   for (const auto& k : hot) {
     const double s_sc = find_best(cases, k.name + "/scalar");
     const double s_vx = has_avx2 ? find_best(cases, k.name + "/avx2") : 0.0;
     const double speedup = has_avx2 && s_vx > 0.0 ? s_sc / s_vx : 0.0;
-    if (has_avx2) log_sum += std::log(std::max(speedup, 1e-9));
+    if (has_avx2 && k.gated) {
+      log_sum += std::log(std::max(speedup, 1e-9));
+      ++gated;
+    }
     const double active_s = has_avx2 ? s_vx : s_sc;
     const double peak = has_avx2 ? peak_avx2 : peak_scalar;
     const double gflops = k.flops_per_call / std::max(active_s, 1e-12) / 1e9;
@@ -377,9 +411,11 @@ int main(int argc, char** argv) {
                                   {"bound", bound}}));
   }
   const double geomean =
-      has_avx2 ? std::exp(log_sum / static_cast<double>(hot.size())) : 0.0;
+      has_avx2 ? std::exp(log_sum / std::max(gated, 1)) : 0.0;
   if (has_avx2) {
-    std::printf("geometric-mean speedup %.2fx (gate: >= 2.0x)\n", geomean);
+    std::printf("geometric-mean speedup over %d gated kernels %.2fx "
+                "(gate: >= 2.0x)\n",
+                gated, geomean);
     if (geomean < 2.0) {
       std::printf("FAIL: geomean SIMD speedup below 2x\n");
       rc = 1;

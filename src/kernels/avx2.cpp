@@ -226,6 +226,95 @@ void bf_panel_avx2(const cfloat* conj_w, index_t ldcw, index_t j_channels,
   }
 }
 
+// Columns [0, 4 NV) of a Householder row block: w for those columns stays in
+// NV ymm registers through both passes. With kTail the last vector is
+// trimmed to the block's width by `tail_mask` (masked-off lanes are neither
+// read nor written). Each lane sees the operation sequence of the unfused
+// per-row axpy_avx2 loop: add(w, cmul) down the rows, one beta multiply,
+// then add(row, cmul(-v_i, w)) — so full vectors match it bit for bit.
+template <int NV, bool kTail>
+void householder_tile(cfloat v0, const cfloat* v, index_t k, __m256 vbeta,
+                      cfloat* row0, cfloat* rows, index_t ldr,
+                      __m256i tail_mask) {
+  const auto load = [tail_mask](const cfloat* p, int t) {
+    if (kTail && t == NV - 1) return _mm256_maskload_ps(fp(p), tail_mask);
+    return _mm256_loadu_ps(fp(p));
+  };
+  const auto store = [tail_mask](cfloat* p, int t, __m256 x) {
+    if (kTail && t == NV - 1)
+      _mm256_maskstore_ps(fp(p), tail_mask, x);
+    else
+      _mm256_storeu_ps(fp(p), x);
+  };
+  __m256 w[NV];
+  for (int t = 0; t < NV; ++t) w[t] = _mm256_setzero_ps();
+  for (index_t i = -1; i < k; ++i) {
+    const cfloat a = std::conj(i < 0 ? v0 : v[i]);
+    const cfloat* r = i < 0 ? row0 : rows + i * ldr;
+    const __m256 ar = _mm256_set1_ps(a.real());
+    const __m256 ai = _mm256_set1_ps(a.imag());
+    for (int t = 0; t < NV; ++t)
+      w[t] = _mm256_add_ps(w[t], cmul_broadcast(ar, ai, load(r + 4 * t, t)));
+  }
+  for (int t = 0; t < NV; ++t) w[t] = _mm256_mul_ps(w[t], vbeta);
+  for (index_t i = -1; i < k; ++i) {
+    const cfloat a = -(i < 0 ? v0 : v[i]);
+    cfloat* r = i < 0 ? row0 : rows + i * ldr;
+    const __m256 ar = _mm256_set1_ps(a.real());
+    const __m256 ai = _mm256_set1_ps(a.imag());
+    for (int t = 0; t < NV; ++t)
+      store(r + 4 * t, t,
+            _mm256_add_ps(load(r + 4 * t, t), cmul_broadcast(ar, ai, w[t])));
+  }
+}
+
+template <int NV>
+void householder_rest(cfloat v0, const cfloat* v, index_t k, __m256 vbeta,
+                      cfloat* row0, cfloat* rows, index_t ldr, bool tail,
+                      __m256i tail_mask) {
+  if (tail)
+    householder_tile<NV, true>(v0, v, k, vbeta, row0, rows, ldr, tail_mask);
+  else
+    householder_tile<NV, false>(v0, v, k, vbeta, row0, rows, ldr, tail_mask);
+}
+
+// 16-column tiles, then one tile of up to 16 for the rest with its last
+// vector masked: no scalar remainder, so every column runs in registers.
+void householder_avx2(cfloat v0, const cfloat* v, index_t k, float beta,
+                      cfloat* row0, cfloat* rows, index_t ldr, index_t lw) {
+  const __m256 vbeta = _mm256_set1_ps(beta);
+  const __m256i all = _mm256_set1_epi32(-1);
+  index_t c = 0;
+  for (; c + 16 <= lw; c += 16)
+    householder_tile<4, false>(v0, v, k, vbeta, row0 + c, rows + c, ldr, all);
+  const index_t rest = lw - c;
+  if (rest == 0) return;
+  const index_t nv = (rest + 3) / 4;
+  // Two float lanes per complex column still inside the block.
+  const int live = static_cast<int>(2 * (rest - 4 * (nv - 1)));
+  const __m256i tail_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(live), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const bool tail = live < 8;
+  switch (nv) {
+    case 1:
+      householder_rest<1>(v0, v, k, vbeta, row0 + c, rows + c, ldr, tail,
+                          tail_mask);
+      break;
+    case 2:
+      householder_rest<2>(v0, v, k, vbeta, row0 + c, rows + c, ldr, tail,
+                          tail_mask);
+      break;
+    case 3:
+      householder_rest<3>(v0, v, k, vbeta, row0 + c, rows + c, ldr, tail,
+                          tail_mask);
+      break;
+    default:
+      householder_rest<4>(v0, v, k, vbeta, row0 + c, rows + c, ldr, tail,
+                          tail_mask);
+      break;
+  }
+}
+
 // Eight independent ymm FMA chains (the latency-throughput product of a
 // 2-port, ~4-cycle FMA unit): measures the core's fused multiply-add peak.
 // 8 accumulators x 8 lanes x 2 flops = 128 flops per iteration.
@@ -260,7 +349,7 @@ const KernelOps& avx2_ops() {
   static const KernelOps ops = {
       axpy_avx2,      mul_inplace_avx2, abs_sq_avx2,     energy_avx2,
       fft_stage_avx2, fft_stage2_avx2,  fft_stage4_avx2, bf_panel_avx2,
-      fma_probe_avx2, 128,
+      householder_avx2, fma_probe_avx2, 128,
   };
   return ops;
 }

@@ -51,6 +51,15 @@ void beamform_gemm(const cfloat* w, index_t ldw, index_t j_channels,
                    index_t m_active, const cfloat* x, index_t ldx, index_t k,
                    cfloat* out, index_t ldc);
 
+/// Householder reflector H = I - beta v v^H applied from the left to a
+/// (1 + k) x lw row block: the head row `row0` meets v's leading element
+/// `v0`, and tail row i (at rows + i * ldr) meets v[i] (unit stride).
+/// Two passes per column: w = beta v^H B, then B -= v w. The scalar table
+/// runs the per-row axpy order of the unfused QR loops bit for bit; the
+/// AVX2 table keeps w in registers across the rows.
+void householder_apply(cfloat v0, const cfloat* v, index_t k, float beta,
+                       cfloat* row0, cfloat* rows, index_t ldr, index_t lw);
+
 namespace detail {
 
 /// Per-ISA implementation table. `beamform_gemm` stays common (blocking and
@@ -70,6 +79,8 @@ struct KernelOps {
   void (*bf_panel)(const cfloat* conj_w, index_t ldcw, index_t j_channels,
                    index_t m_active, const cfloat* xt, index_t ldxt,
                    index_t k, cfloat* out, index_t ldc);
+  void (*householder)(cfloat, const cfloat*, index_t, float, cfloat*,
+                      cfloat*, index_t, index_t);
   /// Roofline compute-peak probe: `iters` rounds of independent
   /// register-resident multiply-adds, result folded into *sink so the
   /// chains cannot be optimized away. The caller times it; each iteration
@@ -106,6 +117,11 @@ inline void fft_stage2(cfloat* data, index_t n) {
 }
 inline void fft_stage4(cfloat* data, index_t n, bool conj_tw) {
   detail::ops().fft_stage4(data, n, conj_tw);
+}
+inline void householder_apply(cfloat v0, const cfloat* v, index_t k,
+                              float beta, cfloat* row0, cfloat* rows,
+                              index_t ldr, index_t lw) {
+  detail::ops().householder(v0, v, k, beta, row0, rows, ldr, lw);
 }
 
 /// Compute-peak probe of the active dispatch table (see KernelOps).

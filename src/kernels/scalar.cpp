@@ -5,6 +5,8 @@
 // pre-SIMD code (ascending j in the beamform sums, ascending butterfly index
 // in the FFT stages), so a forced-scalar run reproduces the legacy numerics
 // on any target the compiler supports.
+#include <algorithm>
+
 #include "kernels/kernels.hpp"
 
 namespace ppstap::kernels::detail {
@@ -94,6 +96,26 @@ void bf_panel_scalar(const cfloat* conj_w, index_t ldcw, index_t j_channels,
   }
 }
 
+// Column blocks through a stack buffer keep w off the heap; within a block
+// every pass is one axpy per row, so each element sees the exact operation
+// sequence of the unfused per-row QR loops.
+void householder_scalar(cfloat v0, const cfloat* v, index_t k, float beta,
+                        cfloat* row0, cfloat* rows, index_t ldr, index_t lw) {
+  constexpr index_t kBlock = 64;
+  cfloat w[kBlock];
+  for (index_t c0 = 0; c0 < lw; c0 += kBlock) {
+    const index_t nc = std::min(kBlock, lw - c0);
+    std::fill(w, w + nc, cfloat{});
+    axpy_scalar(std::conj(v0), row0 + c0, w, nc);
+    for (index_t i = 0; i < k; ++i)
+      axpy_scalar(std::conj(v[i]), rows + i * ldr + c0, w, nc);
+    for (index_t c = 0; c < nc; ++c) w[c] *= beta;
+    axpy_scalar(-v0, w, row0 + c0, nc);
+    for (index_t i = 0; i < k; ++i)
+      axpy_scalar(-v[i], w, rows + i * ldr + c0, nc);
+  }
+}
+
 // Eight independent scalar multiply-add chains: enough to cover the FPU
 // latency-throughput product on any recent core, so the measurement is the
 // scalar pipe's throughput, not one chain's latency. 16 flops per iter.
@@ -120,8 +142,8 @@ const KernelOps& scalar_ops() {
   static const KernelOps ops = {
       axpy_scalar,      mul_inplace_scalar, abs_sq_scalar,
       energy_scalar,    fft_stage_scalar,   fft_stage2_scalar,
-      fft_stage4_scalar, bf_panel_scalar,   fma_probe_scalar,
-      16,
+      fft_stage4_scalar, bf_panel_scalar,   householder_scalar,
+      fma_probe_scalar, 16,
   };
   return ops;
 }

@@ -13,16 +13,47 @@ namespace ppstap::linalg {
 
 namespace {
 
-// y[0..n) += a * x[0..n) along a unit-stride row; the sample-precision
-// complex case runs through the dispatched SIMD kernel. The Householder
-// updates below are restructured so every inner loop has this shape.
+// Apply the reflector H = I - beta v v^H, v = [v0; v[0..k)], from the left
+// to the (1 + k) x lw block whose head row is `row0` and whose tail rows sit
+// at rows + i * ldr: the two-pass update (w = beta v^H B accumulated row by
+// row, then B -= v w) that the factorization, apply_qh and the row-append
+// update all share. Sample-precision complex runs through the dispatched
+// fused kernel; the other types take the same per-element operation order.
 template <typename T>
-inline void axpy_row(const T& a, const T* x, T* y, index_t n) {
+void apply_reflector(const T& v0, const T* v, index_t k, real_of_t<T> beta,
+                     T* row0, T* rows, index_t ldr, index_t lw) {
   if constexpr (std::is_same_v<T, cfloat>) {
-    kernels::cf_axpy(a, x, y, n);
+    kernels::householder_apply(v0, v, k, beta, row0, rows, ldr, lw);
   } else {
-    for (index_t i = 0; i < n; ++i) y[i] += a * x[i];
+    for (index_t c = 0; c < lw; ++c) {
+      T w{};
+      w += conj_val(v0) * row0[c];
+      for (index_t i = 0; i < k; ++i) w += conj_val(v[i]) * rows[i * ldr + c];
+      w *= beta;
+      row0[c] += T{-v0} * w;
+      for (index_t i = 0; i < k; ++i) rows[i * ldr + c] += T{-v[i]} * w;
+    }
   }
+}
+
+// Columns [c0, c0 + nc) of `a` as their own matrix.
+template <typename T>
+Matrix<T> columns(const Matrix<T>& a, index_t c0, index_t nc) {
+  Matrix<T> out(a.rows(), nc);
+  for (index_t i = 0; i < a.rows(); ++i)
+    std::copy_n(a.row(i).data() + c0, nc, out.row(i).data());
+  return out;
+}
+
+// [a | b] for equal row counts.
+template <typename T>
+Matrix<T> hstack(const Matrix<T>& a, const Matrix<T>& b) {
+  Matrix<T> out(a.rows(), a.cols() + b.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    std::copy_n(a.row(i).data(), a.cols(), out.row(i).data());
+    std::copy_n(b.row(i).data(), b.cols(), out.row(i).data() + a.cols());
+  }
+  return out;
 }
 
 // Phase of x as a unit-magnitude scalar (1 for x == 0); identity sign logic
@@ -64,7 +95,7 @@ QrFactorization<T>::QrFactorization(const Matrix<T>& a)
   }
 
   std::uint64_t flops = 0;
-  std::vector<T> w(static_cast<size_t>(n_));
+  std::vector<T> tail(static_cast<size_t>(m_));
   for (index_t j = 0; j < n_; ++j) {
     // Build the Householder vector for column j from rows j..m-1.
     R norm_sq{};
@@ -80,22 +111,15 @@ QrFactorization<T>::QrFactorization(const Matrix<T>& a)
     beta_[static_cast<size_t>(j)] = beta;
     a_(j, j) = alpha;  // diagonal of R; tail of v stays in the column
 
-    // Apply H = I - beta v v^H to the trailing columns in two row-major
-    // passes: w = beta (v^H A_t) accumulated by row sweeps, then the rank-1
-    // update A_t -= v w. Both inner loops are unit-stride axpys; the per-
-    // element accumulation order over i is the same as the classic column
-    // form, so scalar dispatch reproduces its numerics.
+    // Apply H to the trailing columns; the tail of v is gathered from its
+    // column so the kernel reads it at unit stride.
     const index_t lw = n_ - j - 1;
     if (lw > 0) {
-      T* wp = w.data();
-      std::fill(wp, wp + lw, T{});
-      axpy_row(conj_val(v0), &a_(j, j + 1), wp, lw);
-      for (index_t i = j + 1; i < m_; ++i)
-        axpy_row(conj_val(a_(i, j)), &a_(i, j + 1), wp, lw);
-      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
-      axpy_row(T{-v0}, wp, &a_(j, j + 1), lw);
-      for (index_t i = j + 1; i < m_; ++i)
-        axpy_row(T{-a_(i, j)}, wp, &a_(i, j + 1), lw);
+      const index_t k = m_ - j - 1;
+      for (index_t i = 0; i < k; ++i)
+        tail[static_cast<size_t>(i)] = a_(j + 1 + i, j);
+      apply_reflector(v0, tail.data(), k, beta, &a_(j, j + 1),
+                      k > 0 ? &a_(j + 1, j + 1) : nullptr, n_, lw);
     }
     const auto len = static_cast<std::uint64_t>(m_ - j);
     flops += 2 * len;  // norm accumulation
@@ -167,19 +191,14 @@ template <typename T>
 void QrFactorization<T>::apply_qh(Matrix<T>& b) const {
   PPSTAP_REQUIRE(b.rows() == m_, "rhs rows must match factorized matrix");
   const index_t nrhs = b.cols();
-  std::vector<T> w(static_cast<size_t>(nrhs));
+  std::vector<T> tail(static_cast<size_t>(m_));
   for (index_t j = 0; j < n_; ++j) {
-    const T v0 = v0_[static_cast<size_t>(j)];
-    const auto beta = beta_[static_cast<size_t>(j)];
-    T* wp = w.data();
-    std::fill(wp, wp + nrhs, T{});
-    axpy_row(conj_val(v0), &b(j, 0), wp, nrhs);
-    for (index_t i = j + 1; i < m_; ++i)
-      axpy_row(conj_val(a_(i, j)), &b(i, 0), wp, nrhs);
-    for (index_t c = 0; c < nrhs; ++c) wp[c] *= beta;
-    axpy_row(T{-v0}, wp, &b(j, 0), nrhs);
-    for (index_t i = j + 1; i < m_; ++i)
-      axpy_row(T{-a_(i, j)}, wp, &b(i, 0), nrhs);
+    const index_t k = m_ - j - 1;
+    for (index_t i = 0; i < k; ++i)
+      tail[static_cast<size_t>(i)] = a_(j + 1 + i, j);
+    apply_reflector(v0_[static_cast<size_t>(j)], tail.data(), k,
+                    beta_[static_cast<size_t>(j)], b.row(j).data(),
+                    b.row(j).data() + nrhs, nrhs, nrhs);
   }
   count_flops(2 * fma_flops<T>() * static_cast<std::uint64_t>(m_) *
               static_cast<std::uint64_t>(n_) *
@@ -225,16 +244,28 @@ Matrix<T> least_squares(const Matrix<T>& a, const Matrix<T>& b) {
 }
 
 template <typename T>
-Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x) {
+Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x, Matrix<T>* rhs,
+                         Matrix<T>* xrhs) {
   using Real = real_of_t<T>;
   const index_t n = r.rows();
   PPSTAP_REQUIRE(r.cols() == n, "R must be square in qr_append_rows");
   PPSTAP_REQUIRE(x.cols() == n, "appended rows must have R's column count");
+  PPSTAP_REQUIRE((rhs == nullptr) == (xrhs == nullptr),
+                 "qr_append_rows takes both right-hand-side blocks or none");
   const index_t k = x.rows();
+  const index_t p = rhs != nullptr ? rhs->cols() : 0;
+  if (rhs != nullptr)
+    PPSTAP_REQUIRE(rhs->rows() == n && xrhs->rows() == k &&
+                       xrhs->cols() == p,
+                   "right-hand sides must be n x p over k x p");
 
-  Matrix<T> out = r;
+  // The right-hand sides ride as extra trailing columns of [R | rhs] over
+  // [X | xrhs], so each reflector reaches them in the same fused call as
+  // the trailing matrix columns.
+  const index_t wide = n + p;
+  Matrix<T> out = p > 0 ? hstack(r, *rhs) : r;
+  if (p > 0) x = hstack(x, *xrhs);
   std::vector<T> v(static_cast<size_t>(k));
-  std::vector<T> w2(static_cast<size_t>(n));
 
   std::uint64_t flops = 0;
   for (index_t j = 0; j < n; ++j) {
@@ -257,26 +288,19 @@ Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x) {
     const Real beta = v_sq > Real{0} ? Real{2} / v_sq : Real{0};
     out(j, j) = alpha;
 
-    // Same two-pass row-major reflector application as the dense
-    // factorization: w = beta (v^H [R_row; X_t]), then the rank-1 update.
-    const index_t lw = n - j - 1;
-    if (lw > 0) {
-      T* wp = w2.data();
-      std::fill(wp, wp + lw, T{});
-      axpy_row(conj_val(v0), &out(j, j + 1), wp, lw);
-      for (index_t i = 0; i < k; ++i)
-        axpy_row(conj_val(v[static_cast<size_t>(i)]), &x(i, j + 1), wp, lw);
-      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
-      axpy_row(T{-v0}, wp, &out(j, j + 1), lw);
-      for (index_t i = 0; i < k; ++i)
-        axpy_row(T{-v[static_cast<size_t>(i)]}, wp, &x(i, j + 1), lw);
-    }
+    const index_t lw = wide - j - 1;
+    if (lw > 0)
+      apply_reflector(v0, v.data(), k, beta, &out(j, j + 1),
+                      k > 0 ? &x(0, j + 1) : nullptr, wide, lw);
     flops += 2 * static_cast<std::uint64_t>(k + 1);
     flops += 2 * fma_flops<T>() * static_cast<std::uint64_t>(k + 1) *
-             static_cast<std::uint64_t>(n - j - 1);
+             static_cast<std::uint64_t>(lw);
   }
   count_flops(flops);
-  return out;
+  if (rhs == nullptr) return out;
+  *rhs = columns(out, n, p);
+  *xrhs = columns(x, n, p);
+  return columns(out, 0, n);
 }
 
 template <typename T>
@@ -328,14 +352,15 @@ template double triangular_condition_estimate<cfloat>(const Matrix<cfloat>&);
 template double triangular_condition_estimate<cdouble>(const Matrix<cdouble>&);
 template double triangular_condition_estimate<float>(const Matrix<float>&);
 template double triangular_condition_estimate<double>(const Matrix<double>&);
-template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
-                                               Matrix<cfloat>);
-template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
-                                                 Matrix<cdouble>);
-template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
-                                             Matrix<float>);
-template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
-                                               Matrix<double>);
+template Matrix<cfloat> qr_append_rows<cfloat>(
+    const Matrix<cfloat>&, Matrix<cfloat>, Matrix<cfloat>*, Matrix<cfloat>*);
+template Matrix<cdouble> qr_append_rows<cdouble>(
+    const Matrix<cdouble>&, Matrix<cdouble>, Matrix<cdouble>*,
+    Matrix<cdouble>*);
+template Matrix<float> qr_append_rows<float>(
+    const Matrix<float>&, Matrix<float>, Matrix<float>*, Matrix<float>*);
+template Matrix<double> qr_append_rows<double>(
+    const Matrix<double>&, Matrix<double>, Matrix<double>*, Matrix<double>*);
 template double append_column_norm_residual<cfloat>(const Matrix<cfloat>&,
                                                     const Matrix<cfloat>&,
                                                     const Matrix<cfloat>&);

@@ -77,10 +77,13 @@ Matrix<T> least_squares(const Matrix<T>& a, const Matrix<T>& b);
 /// update; combined with a scalar forgetting factor applied to R beforehand
 /// it implements the paper's recursive weight update for hard Doppler bins.
 /// X is consumed (used as workspace). If `rhs` and `xrhs` are given (n x p
-/// and k x p), they are updated by the same orthogonal transform so that
-/// least-squares solves against the accumulated data remain possible.
+/// and k x p), they are updated by the same orthogonal transform: *rhs
+/// becomes the top n rows of Q^H [rhs; xrhs] and *xrhs the bottom k, so
+/// back_substitute(R_new, *rhs) is the least-squares solution of
+/// [R; X] W = [rhs; xrhs]. Only R's upper triangle is read.
 template <typename T>
-Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x);
+Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x,
+                         Matrix<T>* rhs = nullptr, Matrix<T>* xrhs = nullptr);
 
 /// ABFT invariant for the row-append update (PR 5): the re-triangularized
 /// R must preserve the column norms of the stacked [r_old; x] matrix.
@@ -112,14 +115,15 @@ extern template Matrix<float> least_squares<float>(const Matrix<float>&,
                                                    const Matrix<float>&);
 extern template Matrix<double> least_squares<double>(const Matrix<double>&,
                                                      const Matrix<double>&);
-extern template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
-                                                      Matrix<cfloat>);
-extern template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
-                                                        Matrix<cdouble>);
-extern template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
-                                                    Matrix<float>);
-extern template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
-                                                      Matrix<double>);
+extern template Matrix<cfloat> qr_append_rows<cfloat>(
+    const Matrix<cfloat>&, Matrix<cfloat>, Matrix<cfloat>*, Matrix<cfloat>*);
+extern template Matrix<cdouble> qr_append_rows<cdouble>(
+    const Matrix<cdouble>&, Matrix<cdouble>, Matrix<cdouble>*,
+    Matrix<cdouble>*);
+extern template Matrix<float> qr_append_rows<float>(
+    const Matrix<float>&, Matrix<float>, Matrix<float>*, Matrix<float>*);
+extern template Matrix<double> qr_append_rows<double>(
+    const Matrix<double>&, Matrix<double>, Matrix<double>*, Matrix<double>*);
 extern template double triangular_condition_estimate<cfloat>(
     const Matrix<cfloat>&);
 extern template double triangular_condition_estimate<cdouble>(

@@ -92,7 +92,10 @@ std::uint64_t analytic_flops(Task t, const StapParams& p) {
     }
     case Task::kHardWeight: {
       // Per (hard bin, segment): recursive row-append update plus the
-      // constrained solve on the (2J + J) x 2J system.
+      // constrained solve on the (2J + J) x 2J system, priced as the
+      // paper's dense formulation because it drives the machine model
+      // behind Tables 7-10. The library's structured solve (constraint
+      // rows appended to the carried R) counts fewer flops (DESIGN §13).
       const std::uint64_t jj = 2 * j;
       const std::uint64_t samples =
           static_cast<std::uint64_t>(p.hard_samples_per_segment);

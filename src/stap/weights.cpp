@@ -30,31 +30,15 @@ float mean_abs_upper(const linalg::MatrixCF& r) {
                    : 0.0f;
 }
 
-// Condition-guarded constrained least squares (the tentpole's numerical-
-// health guard). Factorize A and check the R-diagonal condition estimate;
-// above StapParams::condition_threshold, retry EXACTLY ONCE with `load *
-// I_n` appended below A (diagonal loading at data scale, zero right-hand
-// side) — the loaded problem is well posed even for a rank-deficient or
-// all-zero training stack. The retry is counted in `health` so a degraded
-// solve always leaves a ledger entry.
-linalg::MatrixCF guarded_least_squares(const linalg::MatrixCF& a,
-                                       const linalg::MatrixCF& b,
-                                       double threshold, float load,
-                                       WeightHealth& health,
-                                       double abft_tol = 0.0) {
-  linalg::QrFactorization<cfloat> qr(a);
-  // ABFT residual gate (PR 5): a factorization that no longer preserves
-  // the input's column norms was corrupted mid-flight; route it through
-  // the loading retry like an ill-conditioned solve.
-  const bool residual_bad =
-      abft_tol > 0.0 && qr.column_norm_residual() > abft_tol;
-  if (residual_bad)
-    ++health.qr_residual_retries;
-  else if (qr.condition_estimate() <= threshold)
-    return qr.solve(b);
-  else
-    ++health.loading_retries;
-
+// The one dense fallback of both weight paths: when a solve's ABFT
+// residual or R-diagonal condition estimate fails, retry EXACTLY ONCE with
+// `load * I_n` appended below A (diagonal loading at data scale, zero
+// right-hand side) — the loaded problem is well posed even for a
+// rank-deficient or all-zero training stack. Callers count the trigger in
+// `health` so a degraded solve always leaves a ledger entry.
+linalg::MatrixCF loaded_least_squares(const linalg::MatrixCF& a,
+                                      const linalg::MatrixCF& b, float load,
+                                      WeightHealth& health, double abft_tol) {
   const index_t n = a.cols();
   if (load <= 0.0f || !std::isfinite(load)) load = 1.0f;
   linalg::MatrixCF a2(a.rows() + n, n);
@@ -67,7 +51,72 @@ linalg::MatrixCF guarded_least_squares(const linalg::MatrixCF& a,
   linalg::QrFactorization<cfloat> qr2(a2);
   if (abft_tol > 0.0 && qr2.column_norm_residual() > abft_tol)
     ++health.qr_residual_rejects;  // persistent — patch_bad_columns screens
+  // A zero or non-finite diagonal (input the loading cannot repair, such
+  // as a non-finite carried R) has nothing to back-substitute: hand
+  // patch_bad_columns all-zero weights to replace with the quiescent ones.
+  if (!std::isfinite(qr2.condition_estimate()))
+    return linalg::MatrixCF(n, b.cols());
   return qr2.solve(b2);
+}
+
+// Condition-guarded constrained least squares (the easy bins' fresh QR).
+// Factorize A and check the R-diagonal condition estimate; above
+// StapParams::condition_threshold, or when the ABFT column-norm residual
+// shows a factorization corrupted mid-flight, take the loading retry.
+linalg::MatrixCF guarded_least_squares(const linalg::MatrixCF& a,
+                                       const linalg::MatrixCF& b,
+                                       double threshold, float load,
+                                       WeightHealth& health,
+                                       double abft_tol) {
+  linalg::QrFactorization<cfloat> qr(a);
+  const bool residual_bad =
+      abft_tol > 0.0 && qr.column_norm_residual() > abft_tol;
+  if (residual_bad)
+    ++health.qr_residual_retries;
+  else if (qr.condition_estimate() <= threshold)
+    return qr.solve(b);
+  else
+    ++health.loading_retries;
+  return loaded_least_squares(a, b, load, health, abft_tol);
+}
+
+// The hard bins' constrained least squares min ||[R; C] W - [0; S]||. R is
+// the carried upper-triangular factor, so appending the constraint rows C
+// (steering right-hand side S carried through the same reflectors) is the
+// whole factorization: no dense re-factorization of [R; C]. The guards are
+// guarded_least_squares' — the append's column-norm residual and the new
+// R's condition estimate — and a failed solve takes the same dense
+// loading retry on the stacked system.
+linalg::MatrixCF structured_least_squares(const linalg::MatrixCF& r,
+                                          const linalg::MatrixCF& c,
+                                          const linalg::MatrixCF& s,
+                                          double threshold, float load,
+                                          WeightHealth& health,
+                                          double abft_tol) {
+  const index_t n = r.rows();
+  linalg::MatrixCF rhs(n, s.cols());
+  linalg::MatrixCF s_rot = s;
+  const linalg::MatrixCF r_new = linalg::qr_append_rows(r, c, &rhs, &s_rot);
+  const bool residual_bad =
+      abft_tol > 0.0 &&
+      linalg::append_column_norm_residual(r, c, r_new) > abft_tol;
+  if (residual_bad) {
+    ++health.qr_residual_retries;
+  } else if (linalg::triangular_condition_estimate(r_new) <= threshold) {
+    linalg::back_substitute(r_new, rhs);
+    return rhs;
+  } else {
+    ++health.loading_retries;
+  }
+  linalg::MatrixCF a(n + c.rows(), n);
+  for (index_t row = 0; row < n; ++row)
+    for (index_t col = row; col < n; ++col) a(row, col) = r(row, col);
+  for (index_t row = 0; row < c.rows(); ++row)
+    for (index_t col = 0; col < n; ++col) a(n + row, col) = c(row, col);
+  linalg::MatrixCF b(n + c.rows(), s.cols());
+  for (index_t row = 0; row < s.rows(); ++row)
+    for (index_t col = 0; col < s.cols(); ++col) b(n + row, col) = s(row, col);
+  return loaded_least_squares(a, b, load, health, abft_tol);
 }
 
 // Post-solve screen: replace any non-finite or identically-zero weight
@@ -361,21 +410,14 @@ std::vector<linalg::MatrixCF> HardWeightComputer::compute() const {
     const float scale = mean_abs_upper(r);
     const float avg = static_cast<float>(p_.beam_constraint_wt) * scale;
 
-    // A = [R; C] where C = avg [I_J | stag_phase I_J]: the J constraint
-    // rows demand that the pair of staggered subweights, combined with
-    // the bin's stagger phase, reproduce the steering vector.
-    linalg::MatrixCF a(jj + j, jj);
-    for (index_t row = 0; row < jj; ++row)
-      for (index_t col = row; col < jj; ++col) a(row, col) = r(row, col);
+    // C = avg [I_J | stag_phase I_J]: the J constraint rows demand that
+    // the pair of staggered subweights, combined with the bin's stagger
+    // phase, reproduce the steering vector (right-hand side below R: 0).
+    linalg::MatrixCF c(j, jj);
     for (index_t row = 0; row < j; ++row) {
-      a(jj + row, row) = avg;
-      a(jj + row, j + row) = avg * stag_phase;
+      c(row, row) = avg;
+      c(row, j + row) = avg * stag_phase;
     }
-
-    linalg::MatrixCF b(jj + j, m);
-    for (index_t c = 0; c < m; ++c)
-      for (index_t row = 0; row < j; ++row)
-        b(jj + row, c) = steering_(row, c);
 
     // Quiescent fallback for this unit: both staggered subweights carry the
     // steering vector, the second rotated back by the bin's stagger phase so
@@ -388,9 +430,9 @@ std::vector<linalg::MatrixCF> HardWeightComputer::compute() const {
       }
     normalize_columns(quiescent);
 
-    linalg::MatrixCF w = guarded_least_squares(a, b, p_.condition_threshold,
-                                               scale, health_,
-                                               p_.abft_tolerance);
+    linalg::MatrixCF w = structured_least_squares(
+        r, c, steering_, p_.condition_threshold, scale, health_,
+        p_.abft_tolerance);
     patch_bad_columns(w, quiescent, health_);
     normalize_columns(w);
     out.push_back(std::move(w));

@@ -291,7 +291,9 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
   // The backlog only builds when the stages *behind* admission are the
   // bottleneck: widen the beam set (beamform + pulse compression scale
   // with M) and make CPI generation cheap, with the matched filter still
-  // supplied to the pipeline.
+  // supplied to the pipeline. A seeded slowdown of the pulse-compression
+  // rank (below) makes that hold by construction, whatever the host's
+  // speed or the relative cost of the other stages.
   f.p.num_beams = 16;
   f.p.num_range = 96;
   f.p.validate();
@@ -305,6 +307,7 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(victim,
                                    tag_for(kill_cpi, kEdgeDopToHardWt)));
+  plan.add(FaultPlan::slow_rank(a.first_rank(Task::kPulseCompression), 25.0));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(), dsp::lfm_chirp(8));

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
+#include <sstream>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -14,10 +17,12 @@
 #include "core/integrity.hpp"
 #include "core/pipeline.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/serialize.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
 #include "stap/doppler.hpp"
 #include "stap/pulse_compression.hpp"
+#include "stap/weights.hpp"
 #include "synth/scenario.hpp"
 #include "synth/steering.hpp"
 
@@ -199,6 +204,137 @@ TEST(KernelInvariants, QrColumnNormResidualSmallOnCleanFactorization) {
   auto r_new = linalg::qr_append_rows(r_old, std::move(x));
   EXPECT_LT(linalg::append_column_norm_residual(r_old, x_copy, r_new),
             kTol);
+}
+
+// ---------------------------------------------------------------------------
+// Unit: the structured hard solve keeps the dense formulation's guards
+// ---------------------------------------------------------------------------
+
+// The hard solve as it was before it became a row append onto the carried
+// R: a fresh dense QR of the stacked [R; C], gated on its column-norm
+// residual and condition estimate, one diagonal-loading retry (zero weights
+// when even the loaded factor is singular or non-finite), then the
+// bad-column patch. Returns only the counters it raises.
+stap::WeightHealth dense_hard_counters(const StapParams& p,
+                                       const linalg::MatrixCF& steering,
+                                       index_t bin, const linalg::MatrixCF& r) {
+  const index_t j = p.num_channels, jj = p.num_staggered_channels();
+  const index_t m = p.num_beams;
+  const double phi = -2.0 * std::numbers::pi * static_cast<double>(bin) *
+                     static_cast<double>(p.stagger) /
+                     static_cast<double>(p.num_pulses);
+  const cfloat stag_phase(static_cast<float>(std::cos(phi)),
+                          static_cast<float>(std::sin(phi)));
+  double acc = 0.0;
+  for (index_t i = 0; i < jj; ++i)
+    for (index_t c = i; c < jj; ++c) acc += std::abs(r(i, c));
+  const auto scale = static_cast<float>(acc / (jj * (jj + 1) / 2));
+  const float avg = static_cast<float>(p.beam_constraint_wt) * scale;
+  linalg::MatrixCF a(jj + j, jj), b(jj + j, m);
+  for (index_t row = 0; row < jj; ++row)
+    for (index_t col = row; col < jj; ++col) a(row, col) = r(row, col);
+  for (index_t row = 0; row < j; ++row) {
+    a(jj + row, row) = avg;
+    a(jj + row, j + row) = avg * stag_phase;
+    for (index_t c = 0; c < m; ++c) b(jj + row, c) = steering(row, c);
+  }
+
+  stap::WeightHealth h;
+  const double tol = p.abft_tolerance;
+  linalg::QrFactorization<cfloat> qr(a);
+  linalg::MatrixCF w;
+  const bool residual_bad = tol > 0.0 && qr.column_norm_residual() > tol;
+  if (!residual_bad && qr.condition_estimate() <= p.condition_threshold) {
+    w = qr.solve(b);
+  } else {
+    ++(residual_bad ? h.qr_residual_retries : h.loading_retries);
+    const float load = scale > 0.0f && std::isfinite(scale) ? scale : 1.0f;
+    linalg::MatrixCF a2(jj + j + jj, jj), b2(jj + j + jj, m);
+    for (index_t row = 0; row < jj + j; ++row) {
+      for (index_t col = 0; col < jj; ++col) a2(row, col) = a(row, col);
+      for (index_t c = 0; c < m; ++c) b2(row, c) = b(row, c);
+    }
+    for (index_t i = 0; i < jj; ++i) a2(jj + j + i, i) = load;
+    linalg::QrFactorization<cfloat> qr2(a2);
+    if (tol > 0.0 && qr2.column_norm_residual() > tol)
+      ++h.qr_residual_rejects;
+    w = std::isfinite(qr2.condition_estimate()) ? qr2.solve(b2)
+                                                : linalg::MatrixCF(jj, m);
+  }
+  for (index_t c = 0; c < w.cols(); ++c) {
+    double norm_sq = 0.0;
+    for (index_t i = 0; i < w.rows(); ++i)
+      norm_sq += static_cast<double>(linalg::abs_sq(w(i, c)));
+    if (!std::isfinite(norm_sq) || norm_sq == 0.0) {
+      ++h.quiescent_fallbacks;
+      break;
+    }
+  }
+  return h;
+}
+
+// One solve of a one-unit hard computer whose carried factor is `r`
+// (installed through the checkpoint path); returns the counters it raised.
+stap::WeightHealth structured_hard_counters(const StapParams& p,
+                                            const linalg::MatrixCF& steering,
+                                            const stap::HardUnit& unit,
+                                            const linalg::MatrixCF& r) {
+  stap::HardWeightComputer comp(p, steering, {unit});
+  std::stringstream state;
+  const std::uint64_t count = 1;
+  state.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  linalg::write_matrix(state, r);
+  comp.restore(state);
+  (void)comp.compute();
+  return comp.health();
+}
+
+TEST(HardSolveGuards, RaiseTheDenseFormulationsCounters) {
+  StapParams p = StapParams::small_test();
+  p.abft_tolerance = IntegrityConfig{}.tolerance;
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  const stap::HardUnit unit{p.hard_bins()[1], 0};
+  const index_t jj = p.num_staggered_channels();
+
+  Rng rng(31);
+  linalg::MatrixCF data(3 * jj, jj);
+  for (index_t i = 0; i < data.size(); ++i) {
+    const auto z = rng.cnormal();
+    data.data()[i] = cfloat(static_cast<float>(z.real()),
+                            static_cast<float>(z.imag()));
+  }
+  const auto clean = linalg::QrFactorization<cfloat>(data).r();
+  auto perturbed = clean;
+  perturbed(1, 4) = cfloat(1e30f, 0.0f);  // overflows the column norms
+  linalg::MatrixCF rank_one(jj, jj);
+  for (index_t c = 0; c < jj; ++c) rank_one(0, c) = cfloat(1.0f, 0.5f);
+  auto nonfinite = clean;
+  nonfinite(2, 2) = cfloat(std::numeric_limits<float>::quiet_NaN(), 0.0f);
+
+  struct Case {
+    const char* name;
+    const linalg::MatrixCF& r;
+    std::uint64_t stap::WeightHealth::*fires;
+  };
+  const Case cases[] = {
+      {"perturbed element", perturbed,
+       &stap::WeightHealth::qr_residual_retries},
+      {"rank-deficient R", rank_one, &stap::WeightHealth::loading_retries},
+      {"non-finite R", nonfinite, &stap::WeightHealth::quiescent_fallbacks},
+  };
+  EXPECT_TRUE(structured_hard_counters(p, steering, unit, clean).clean());
+  EXPECT_TRUE(dense_hard_counters(p, steering, unit.bin, clean).clean());
+  for (const Case& c : cases) {
+    const auto got = structured_hard_counters(p, steering, unit, c.r);
+    const auto want = dense_hard_counters(p, steering, unit.bin, c.r);
+    EXPECT_EQ(got.*c.fires, 1u) << c.name;
+    EXPECT_EQ(got.qr_residual_retries, want.qr_residual_retries) << c.name;
+    EXPECT_EQ(got.qr_residual_rejects, want.qr_residual_rejects) << c.name;
+    EXPECT_EQ(got.loading_retries, want.loading_retries) << c.name;
+    EXPECT_EQ(got.quiescent_fallbacks, want.quiescent_fallbacks) << c.name;
+    EXPECT_EQ(got.nonfinite_training_blocks, 0u) << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

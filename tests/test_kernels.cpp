@@ -12,11 +12,15 @@
 //  3. Invariants: the ABFT checks and the flop ledger keep their detection
 //     power when the vector table is active — FMA contraction moves low
 //     bits, not the clean/corrupt separation.
+//  4. The fused Householder reflector: the scalar table is the unfused
+//     per-row axpy sequence bit for bit, and the QR loops built on it
+//     reproduce the unfused loops exactly under scalar dispatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -195,6 +199,105 @@ TEST(KernelEquivalence, BeamformAdversarialShapes) {
   beamform_both_levels(96, 32, 6, 6, 512);   // segment write into wide rows
   // Panel boundary: K straddling the 256-column L1 panel split.
   beamform_both_levels(257, 16, 6, 6, 257);
+}
+
+// --------------------------------------------------------------------------
+// The fused Householder reflector.
+// --------------------------------------------------------------------------
+
+// A (1 + k) x lw reflector block: a head row and k tail rows stored with
+// leading dimension ld >= lw (the columns past lw must stay untouched).
+struct ReflectorBlock {
+  index_t k = 0, lw = 0, ld = 0;
+  cfloat v0{0.8f, -0.3f};
+  float beta = 0.37f;
+  std::vector<cfloat> v, row0, rows;
+};
+
+ReflectorBlock make_block(index_t k, index_t lw, index_t ld, unsigned seed) {
+  ReflectorBlock b;
+  b.k = k;
+  b.lw = lw;
+  b.ld = ld;
+  b.v = random_cf(k, seed);
+  b.row0 = random_cf(lw, seed + 1);
+  b.rows = random_cf(k * ld, seed + 2);
+  return b;
+}
+
+// The loop the QR code ran before the fused kernel: one axpy per row and
+// pass through a heap-held w.
+void per_row_axpy(const kernels::detail::KernelOps& ops, ReflectorBlock& b) {
+  std::vector<cfloat> w(static_cast<size_t>(b.lw));
+  ops.axpy(std::conj(b.v0), b.row0.data(), w.data(), b.lw);
+  for (index_t i = 0; i < b.k; ++i)
+    ops.axpy(std::conj(b.v[static_cast<size_t>(i)]),
+             b.rows.data() + i * b.ld, w.data(), b.lw);
+  for (auto& x : w) x *= b.beta;
+  ops.axpy(-b.v0, w.data(), b.row0.data(), b.lw);
+  for (index_t i = 0; i < b.k; ++i)
+    ops.axpy(-b.v[static_cast<size_t>(i)], w.data(), b.rows.data() + i * b.ld,
+             b.lw);
+}
+
+void fused(const kernels::detail::KernelOps& ops, ReflectorBlock& b) {
+  ops.householder(b.v0, b.v.data(), b.k, b.beta, b.row0.data(),
+                  b.rows.data(), b.ld, b.lw);
+}
+
+bool same_bits(const std::vector<cfloat>& a, const std::vector<cfloat>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0);
+}
+
+// Widths 0..35 hit every remainder mod 4 on both sides of the 16-column
+// register tile; k = 0 is a head row alone; ld > lw checks the padding.
+const index_t kReflectorRows[] = {0, 1, 5, 16, 47};
+
+TEST(KernelEquivalence, HouseholderScalarIsPerRowAxpyBitForBit) {
+  const auto& sc = kernels::detail::scalar_ops();
+  for (index_t k : kReflectorRows)
+    for (index_t lw = 0; lw <= 35; ++lw) {
+      auto ref = make_block(k, lw, lw + 3, 50);
+      auto got = ref;
+      per_row_axpy(sc, ref);
+      fused(sc, got);
+      ASSERT_TRUE(same_bits(got.row0, ref.row0)) << "k=" << k << " lw=" << lw;
+      ASSERT_TRUE(same_bits(got.rows, ref.rows)) << "k=" << k << " lw=" << lw;
+    }
+}
+
+TEST(KernelEquivalence, HouseholderAvx2AdversarialShapes) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  for (index_t k : kReflectorRows)
+    for (index_t lw = 1; lw <= 35; ++lw)
+      for (index_t ld : {lw, lw + 5}) {
+        const auto init = make_block(k, lw, ld, 60);
+        auto b_sc = init, b_vx = init, b_axpy = init;
+        fused(sc, b_sc);
+        fused(vx, b_vx);
+        per_row_axpy(vx, b_axpy);
+        expect_close(b_vx.row0, b_sc.row0, 1e-5, "householder head row");
+        expect_close(b_vx.rows, b_sc.rows, 1e-5, "householder tail rows");
+        const index_t full = lw / 4 * 4;
+        for (index_t i = 0; i < k; ++i) {
+          const auto at = [&](const ReflectorBlock& b, index_t c) {
+            return b.rows[static_cast<size_t>(i * ld + c)];
+          };
+          for (index_t c = lw; c < ld; ++c)
+            ASSERT_EQ(at(b_vx, c), at(init, c)) << "padding written";
+          // Full vectors run the per-row axpy's exact lane operations.
+          for (index_t c = 0; c < full; ++c)
+            ASSERT_EQ(std::memcmp(&b_vx.rows[static_cast<size_t>(i * ld + c)],
+                                  &b_axpy.rows[static_cast<size_t>(i * ld + c)],
+                                  sizeof(cfloat)),
+                      0)
+                << "k=" << k << " lw=" << lw << " row " << i << " col " << c;
+        }
+      }
 }
 
 TEST(KernelEquivalence, FftRoundTripBothLevels) {
@@ -392,6 +495,188 @@ TEST(KernelInvariants, QrSolveBothLevels) {
       for (index_t c = 0; c < nrhs; ++c)
         ASSERT_LE(std::abs(cdouble(got(r, c)) - cdouble(x(r, c))), 2e-4)
             << "level=" << static_cast<int>(lvl);
+  }
+}
+
+// The Householder loops of QrFactorization, apply_qh and qr_append_rows as
+// they were before the fused reflector kernel: one dispatched axpy per row
+// and pass. Kept here as the scalar-dispatch reference.
+namespace unfused {
+
+cfloat phase_of(cfloat x) {
+  const float a = std::abs(x);
+  return a == 0.0f ? cfloat(1.0f) : x / a;
+}
+
+struct Factor {
+  linalg::MatrixCF a;  // R above the diagonal, reflector tails below
+  std::vector<cfloat> v0;
+  std::vector<float> beta;
+};
+
+Factor factor(const linalg::MatrixCF& in) {
+  Factor f{in, {}, {}};
+  auto& a = f.a;
+  const index_t m = a.rows(), n = a.cols();
+  std::vector<cfloat> w(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    float norm_sq = 0.0f;
+    for (index_t i = j; i < m; ++i) norm_sq += linalg::abs_sq(a(i, j));
+    const float norm = std::sqrt(norm_sq);
+    const cfloat x0 = a(j, j);
+    const cfloat alpha = -phase_of(x0) * norm;
+    const cfloat v0 = x0 - alpha;
+    const float v_sq = norm_sq - linalg::abs_sq(x0) + linalg::abs_sq(v0);
+    const float beta = v_sq > 0.0f ? 2.0f / v_sq : 0.0f;
+    f.v0.push_back(v0);
+    f.beta.push_back(beta);
+    a(j, j) = alpha;
+    const index_t lw = n - j - 1;
+    if (lw > 0) {
+      cfloat* wp = w.data();
+      std::fill(wp, wp + lw, cfloat{});
+      kernels::cf_axpy(std::conj(v0), &a(j, j + 1), wp, lw);
+      for (index_t i = j + 1; i < m; ++i)
+        kernels::cf_axpy(std::conj(a(i, j)), &a(i, j + 1), wp, lw);
+      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
+      kernels::cf_axpy(-v0, wp, &a(j, j + 1), lw);
+      for (index_t i = j + 1; i < m; ++i)
+        kernels::cf_axpy(-a(i, j), wp, &a(i, j + 1), lw);
+    }
+  }
+  return f;
+}
+
+void apply_qh(const Factor& f, linalg::MatrixCF& b) {
+  const index_t m = f.a.rows(), nrhs = b.cols();
+  std::vector<cfloat> w(static_cast<size_t>(nrhs));
+  for (index_t j = 0; j < f.a.cols(); ++j) {
+    const cfloat v0 = f.v0[static_cast<size_t>(j)];
+    cfloat* wp = w.data();
+    std::fill(wp, wp + nrhs, cfloat{});
+    kernels::cf_axpy(std::conj(v0), &b(j, 0), wp, nrhs);
+    for (index_t i = j + 1; i < m; ++i)
+      kernels::cf_axpy(std::conj(f.a(i, j)), &b(i, 0), wp, nrhs);
+    for (index_t c = 0; c < nrhs; ++c) wp[c] *= f.beta[static_cast<size_t>(j)];
+    kernels::cf_axpy(-v0, wp, &b(j, 0), nrhs);
+    for (index_t i = j + 1; i < m; ++i)
+      kernels::cf_axpy(-f.a(i, j), wp, &b(i, 0), nrhs);
+  }
+}
+
+linalg::MatrixCF append_rows(const linalg::MatrixCF& r, linalg::MatrixCF x) {
+  const index_t n = r.rows(), k = x.rows();
+  linalg::MatrixCF out = r;
+  std::vector<cfloat> v(static_cast<size_t>(k)), w(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    float norm_sq = linalg::abs_sq(out(j, j));
+    for (index_t i = 0; i < k; ++i) norm_sq += linalg::abs_sq(x(i, j));
+    const float norm = std::sqrt(norm_sq);
+    const cfloat x0 = out(j, j);
+    const cfloat alpha = -phase_of(x0) * norm;
+    const cfloat v0 = x0 - alpha;
+    float v_sq = linalg::abs_sq(v0);
+    for (index_t i = 0; i < k; ++i) {
+      v[static_cast<size_t>(i)] = x(i, j);
+      v_sq += linalg::abs_sq(x(i, j));
+    }
+    const float beta = v_sq > 0.0f ? 2.0f / v_sq : 0.0f;
+    out(j, j) = alpha;
+    const index_t lw = n - j - 1;
+    if (lw > 0) {
+      cfloat* wp = w.data();
+      std::fill(wp, wp + lw, cfloat{});
+      kernels::cf_axpy(std::conj(v0), &out(j, j + 1), wp, lw);
+      for (index_t i = 0; i < k; ++i)
+        kernels::cf_axpy(std::conj(v[static_cast<size_t>(i)]), &x(i, j + 1),
+                         wp, lw);
+      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
+      kernels::cf_axpy(-v0, wp, &out(j, j + 1), lw);
+      for (index_t i = 0; i < k; ++i)
+        kernels::cf_axpy(-v[static_cast<size_t>(i)], wp, &x(i, j + 1), lw);
+    }
+  }
+  return out;
+}
+
+}  // namespace unfused
+
+linalg::MatrixCF random_mat(index_t rows, index_t cols, unsigned seed) {
+  linalg::MatrixCF m(rows, cols);
+  const auto v = random_cf(rows * cols, seed);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+bool same_bits(const linalg::MatrixCF& a, const linalg::MatrixCF& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
+}
+
+// Under scalar dispatch the fused reflector changes no bit of any QR
+// product: the easy solve's factorization and Q^H application, and the
+// hard update's row append (with and without carried right-hand sides).
+TEST(KernelInvariants, QrLoopsBitIdenticalToUnfusedUnderScalar) {
+  SimdGuard guard;
+  kernels::force_simd_level(SimdLevel::kScalar);
+  struct Shape {
+    index_t m, n;
+  };
+  for (Shape sh : {Shape{112, 16}, Shape{48, 32}, Shape{7, 7}, Shape{1, 1}}) {
+    const auto a = random_mat(sh.m, sh.n, 90);
+    const linalg::QrFactorization<cfloat> qr(a);
+    const auto ref = unfused::factor(a);
+    linalg::MatrixCF r_ref(sh.n, sh.n);
+    for (index_t i = 0; i < sh.n; ++i)
+      for (index_t j = i; j < sh.n; ++j) r_ref(i, j) = ref.a(i, j);
+    EXPECT_TRUE(same_bits(qr.r(), r_ref)) << sh.m << "x" << sh.n;
+    for (index_t nrhs : {1, 6}) {
+      auto b = random_mat(sh.m, nrhs, 91);
+      auto b_ref = b;
+      qr.apply_qh(b);
+      unfused::apply_qh(ref, b_ref);
+      EXPECT_TRUE(same_bits(b, b_ref))
+          << sh.m << "x" << sh.n << " nrhs=" << nrhs;
+    }
+  }
+  const auto r0 = linalg::QrFactorization<cfloat>(random_mat(64, 32, 92)).r();
+  for (index_t k : {0, 16, 30}) {
+    const auto x = random_mat(k, 32, 93);
+    const auto ref = unfused::append_rows(r0, x);
+    EXPECT_TRUE(same_bits(linalg::qr_append_rows(r0, x), ref)) << "k=" << k;
+    auto rhs = random_mat(32, 6, 94);
+    auto xrhs = random_mat(k, 6, 95);
+    EXPECT_TRUE(same_bits(linalg::qr_append_rows(r0, x, &rhs, &xrhs), ref))
+        << "k=" << k << " with right-hand sides";
+  }
+}
+
+// Q^H applied to 1 and 6 right-hand sides (the QR solve's shapes: one
+// conventional-beamformer column, M = 6 receive beams) agrees across
+// levels; so does the row append carrying 6 right-hand sides.
+TEST(KernelInvariants, QrRightHandSidesBothLevels) {
+  SKIP_WITHOUT_AVX2();
+  SimdGuard guard;
+  const auto a = random_mat(60, 17, 96);
+  const auto r0 = linalg::QrFactorization<cfloat>(random_mat(64, 32, 97)).r();
+  const auto x = random_mat(16, 32, 98);
+  for (index_t nrhs : {1, 6}) {
+    const auto b = random_mat(60, nrhs, 99);
+    const auto rhs = random_mat(32, nrhs, 100);
+    const auto xrhs = random_mat(16, nrhs, 101);
+    std::vector<cfloat> got[2];
+    for (SimdLevel lvl : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+      kernels::force_simd_level(lvl);
+      auto bb = b, rr = rhs, xx = xrhs;
+      linalg::QrFactorization<cfloat>(a).apply_qh(bb);
+      const auto r1 = linalg::qr_append_rows(r0, x, &rr, &xx);
+      auto& out = got[static_cast<int>(lvl)];
+      const linalg::MatrixCF* const outputs[] = {&bb, &r1, &rr, &xx};
+      for (const linalg::MatrixCF* m : outputs)
+        out.insert(out.end(), m->data(), m->data() + m->size());
+    }
+    expect_close(got[1], got[0], 1e-5, "QR right-hand sides");
   }
 }
 

@@ -3,10 +3,13 @@
 // computation depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/flops.hpp"
 #include "common/rng.hpp"
+#include "kernels/dispatch.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
@@ -330,6 +333,91 @@ TEST(QrAppend, ZeroRowBlockIsIdentityUpToPhase) {
   MatrixCD zeros(3, 5);
   auto r1 = qr_append_rows(r0, zeros);
   EXPECT_LT(frobenius_distance(gram(r1), gram(r0)), 1e-10);
+}
+
+// The row append carrying right-hand sides solves the stacked system: with
+// R upper triangular, back_substitute(R_new, rhs) after
+// qr_append_rows(R, C, &rhs, &xrhs) is the least-squares solution of
+// [R; C] W = [rhs; xrhs] — the hard weight solve's structure. Returns the
+// worst elementwise difference against a dense QR solve of the stacked
+// system, relative to the solution's largest entry.
+template <typename T>
+double append_solve_vs_dense(const Matrix<T>& r, const Matrix<T>& c,
+                             const Matrix<T>& rhs, const Matrix<T>& xrhs) {
+  const index_t n = r.rows(), k = c.rows(), p = rhs.cols();
+  Matrix<T> top = rhs, bottom = xrhs;
+  const Matrix<T> r_new = qr_append_rows(r, c, &top, &bottom);
+  back_substitute(r_new, top);
+
+  Matrix<T> a(n + k, n), b(n + k, p);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = i; j < n; ++j) a(i, j) = r(i, j);
+    for (index_t j = 0; j < p; ++j) b(i, j) = rhs(i, j);
+  }
+  for (index_t i = 0; i < k; ++i) {
+    for (index_t j = 0; j < n; ++j) a(n + i, j) = c(i, j);
+    for (index_t j = 0; j < p; ++j) b(n + i, j) = xrhs(i, j);
+  }
+  const Matrix<T> dense = QrFactorization<T>(a).solve(b);
+  double worst = 0.0, scale = 0.0;
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < p; ++j) {
+      worst = std::max<double>(worst, std::abs(top(i, j) - dense(i, j)));
+      scale = std::max<double>(scale, std::abs(dense(i, j)));
+    }
+  return worst / std::max(scale, 1e-300);
+}
+
+TEST(QrAppend, RightHandSidesSolveStackedSystem) {
+  Rng rng(83);
+  const index_t n = 8, p = 3;
+  const auto r = QrFactorization<cdouble>(random_matrix(12, n, rng)).r();
+  for (index_t k : {0, 1, 5}) {  // k = 0: C has no rows, W = R^-1 rhs
+    const auto c = random_matrix(k, n, rng);
+    const auto rhs = random_matrix(n, p, rng);
+    const auto xrhs = random_matrix(k, p, rng);
+    EXPECT_LT(append_solve_vs_dense(r, c, rhs, xrhs), 1e-10) << "k=" << k;
+  }
+}
+
+TEST(QrAppend, RightHandSidesMustComeInPairs) {
+  Rng rng(85);
+  const auto r = QrFactorization<cdouble>(random_matrix(6, 4, rng)).r();
+  auto rhs = random_matrix(4, 2, rng);
+  auto bad = random_matrix(3, 2, rng);  // must be k x p = 2 x 2
+  EXPECT_THROW(qr_append_rows(r, random_matrix(2, 4, rng), &rhs), Error);
+  EXPECT_THROW(qr_append_rows(r, random_matrix(2, 4, rng), &rhs, &bad),
+               Error);
+}
+
+// Sample precision at the hard solve's shape (2J = 32 columns, J = 16
+// constraint rows, M = 6 beams), at every dispatch level: within the
+// vector-aware 1e-4 relative bound of DESIGN §13.
+TEST(QrAppendFloat, RightHandSidesSolveStackedSystem) {
+  const kernels::SimdLevel saved = kernels::simd_level();
+  std::vector<kernels::SimdLevel> levels{kernels::SimdLevel::kScalar};
+  if (kernels::avx2_available()) levels.push_back(kernels::SimdLevel::kAvx2);
+  Rng rng(89);
+  const auto to_float = [](const MatrixCD& m) {
+    Matrix<cfloat> f(m.rows(), m.cols());
+    for (index_t i = 0; i < m.size(); ++i)
+      f.data()[i] = cfloat(static_cast<float>(m.data()[i].real()),
+                           static_cast<float>(m.data()[i].imag()));
+    return f;
+  };
+  const auto r =
+      to_float(QrFactorization<cdouble>(random_matrix(64, 32, rng)).r());
+  for (kernels::SimdLevel lvl : levels) {
+    kernels::force_simd_level(lvl);
+    for (index_t k : {0, 16}) {
+      const auto c = to_float(random_matrix(k, 32, rng));
+      const auto rhs = to_float(random_matrix(32, 6, rng));
+      const auto xrhs = to_float(random_matrix(k, 6, rng));
+      EXPECT_LT(append_solve_vs_dense(r, c, rhs, xrhs), 1e-4)
+          << "k=" << k << " level=" << static_cast<int>(lvl);
+    }
+  }
+  kernels::force_simd_level(saved);
 }
 
 // Float-precision instantiation sanity: the pipeline runs in cfloat.
