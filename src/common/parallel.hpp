@@ -27,7 +27,8 @@ namespace ppstap {
 /// Run fn(begin, end) over a block partition of [0, total) on `threads`
 /// threads (the calling thread executes the first block). threads <= 1 or
 /// total == 0 degrades to a plain call. Exceptions from worker blocks are
-/// rethrown on the caller (first one wins).
+/// rethrown on the caller (the lowest block's wins). A worker whose fn
+/// neither allocates nor frees never touches the heap.
 void parallel_for_blocks(index_t threads, index_t total,
                          const std::function<void(index_t, index_t)>& fn);
 

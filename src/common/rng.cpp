@@ -6,7 +6,7 @@
 namespace ppstap {
 
 std::uint64_t Rng::next_u64() {
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+  std::uint64_t z = (state_ += kGamma);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);

@@ -20,6 +20,11 @@ class Rng {
   /// Next raw 64-bit value (SplitMix64).
   std::uint64_t next_u64();
 
+  /// Jump ahead: equivalent to `n` calls of next_u64() (SplitMix64's state
+  /// is a Weyl sequence, so this is one multiply-add). The cached second
+  /// Box–Muller sample, if any, is left as it is.
+  void discard(std::uint64_t n) { state_ += n * kGamma; }
+
   /// Uniform in [0, 1).
   double uniform();
 
@@ -30,13 +35,16 @@ class Rng {
   /// second sample).
   double normal();
 
-  /// Complex circular Gaussian with E|z|^2 = 1.
+  /// Complex circular Gaussian with E|z|^2 = 1. With no cached sample it
+  /// consumes exactly two next_u64() draws and leaves none cached, so the
+  /// m-th cnormal() of a fresh stream starts at draw 2(m - 1).
   cdouble cnormal();
 
   /// Derive an independent stream (e.g. one per range cell or per CPI).
   Rng fork(std::uint64_t salt) const;
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
   std::uint64_t state_;
   bool have_cached_ = false;
   double cached_ = 0.0;

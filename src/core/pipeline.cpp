@@ -656,26 +656,23 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
     const bool skip_easy_training =
         adm.level >= DegradationLevel::kStaleWeights;
 
-    // "Receive": fetch this rank's range slab from the radar feed.
+    // "Receive": take the CPI from the radar feed. The filter reads this
+    // rank's range slab [k0, k0 + kl) in place.
     auto full = s.source.get(cpi, c.rank());
-    cube::CpiCube slab(kl, j, p.num_pulses);
-    for (index_t k = 0; k < kl; ++k)
-      for (index_t ch = 0; ch < j; ++ch) {
-        auto src = full->line(k0 + k, ch);
-        std::copy(src.begin(), src.end(), slab.line(k, ch).begin());
-      }
-    full.reset();
     const double t1 = WallTimer::now();
 
     cube::CpiCube stag;
     const bool ok = run_checked(
         c, s, Task::kDopplerFilter, cpi,
         [&](int attempt) {
-          stag = filter.filter(slab, k0);
+          stag = filter.filter(*full, k0, kl);
           maybe_flip(s, Task::kDopplerFilter, cpi, c.rank(), attempt,
                      float_view(stag));
         },
-        [&] { return filter.parseval_check(slab, stag, k0, s.integ.tolerance); });
+        [&] {
+          return filter.parseval_check(*full, stag, k0, s.integ.tolerance);
+        });
+    full.reset();
     const double t2 = WallTimer::now();
 
     if (!ok) {

@@ -31,15 +31,18 @@ float DopplerFilter::range_gain(index_t k) const {
   return static_cast<float>(std::pow(r, p_.range_correction_exp / 2.0));
 }
 
-cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
-                                    index_t k_offset) const {
-  const index_t k_local = raw.extent(0);
+cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw, index_t k0,
+                                    index_t kl) const {
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
   PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n,
-                 "raw slab must be K_local x J x N");
-  PPSTAP_REQUIRE(k_offset >= 0, "slab offset must be nonnegative");
+                 "raw cube must be K x J x N");
+  PPSTAP_REQUIRE(k0 >= 0 && k0 <= raw.extent(0),
+                 "slab start must lie in the range window");
+  const index_t k_local = kl < 0 ? raw.extent(0) - k0 : kl;
+  PPSTAP_REQUIRE(k0 + k_local <= raw.extent(0),
+                 "slab must lie in the range window");
 
   cube::CpiCube out(k_local, 2 * j, n);
 
@@ -47,12 +50,12 @@ cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
                       [&](index_t k_begin, index_t k_end) {
   std::vector<float> wg(static_cast<size_t>(wlen));
   for (index_t k = k_begin; k < k_end; ++k) {
-    const float gain = range_gain(k_offset + k);
+    const float gain = range_gain(k0 + k);
     // The range gain folds into the window multiply.
     for (index_t i = 0; i < wlen; ++i)
       wg[static_cast<size_t>(i)] = window_[static_cast<size_t>(i)] * gain;
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(k, ch);
+      const auto pulses = raw.line(k0 + k, ch);
 
       // Window both staggers directly into the output cube — the 2J lines
       // of one range gate are contiguous there, so a single batched FFT
@@ -86,19 +89,21 @@ cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
 
 bool DopplerFilter::parseval_check(const cube::CpiCube& raw,
                                    const cube::CpiCube& stag,
-                                   index_t k_offset, double tol) const {
-  const index_t k_local = raw.extent(0);
+                                   index_t k0, double tol) const {
+  const index_t k_local = stag.extent(0);
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
-  PPSTAP_REQUIRE(stag.extent(0) == k_local && stag.extent(1) == 2 * j &&
-                     stag.extent(2) == n,
+  PPSTAP_REQUIRE(stag.extent(1) == 2 * j && stag.extent(2) == n,
                  "staggered slab must be K_local x 2J x N");
+  PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n && k0 >= 0 &&
+                     k0 + k_local <= raw.extent(0),
+                 "staggered slab must cover rows of the raw cube");
 
   for (index_t k = 0; k < k_local; ++k) {
-    const double gain = range_gain(k_offset + k);
+    const double gain = range_gain(k0 + k);
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(k, ch);
+      const auto pulses = raw.line(k0 + k, ch);
       for (int w = 0; w < 2; ++w) {
         const index_t shift = w == 0 ? 0 : p_.stagger;
         double time_energy = 0.0;

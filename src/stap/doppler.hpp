@@ -23,11 +23,14 @@ class DopplerFilter {
  public:
   explicit DopplerFilter(const StapParams& p);
 
-  /// Filter a raw slab (K_local x J x N, pulses unit stride) into a
-  /// staggered slab (K_local x 2J x N, Doppler bins unit stride).
-  /// `k_offset` is the slab's first global range cell — needed only when
-  /// range correction is enabled, whose gain depends on absolute range.
-  cube::CpiCube filter(const cube::CpiCube& raw, index_t k_offset = 0) const;
+  /// Filter range cells [k0, k0 + kl) of a raw cube (K x J x N, pulses
+  /// unit stride) into a staggered slab (kl x 2J x N, Doppler bins unit
+  /// stride). The rows are read in place, so a Doppler node filters its
+  /// range slab straight out of the shared CPI. Row indices of `raw` are
+  /// global range cells (range correction's gain depends on them); kl < 0
+  /// means every row from k0 on.
+  cube::CpiCube filter(const cube::CpiCube& raw, index_t k0 = 0,
+                       index_t kl = -1) const;
 
   /// The range-correction amplitude gain applied to global range cell `k`
   /// (1.0 when correction is disabled).
@@ -39,8 +42,9 @@ class DopplerFilter {
   /// transforms are unscaled). Both sides accumulate in double, so `tol`
   /// (relative) only has to absorb the kernel's float rounding. Returns
   /// false as soon as any line deviates or holds a non-finite value.
+  /// `stag` is filter(raw, k0, stag.extent(0)).
   bool parseval_check(const cube::CpiCube& raw, const cube::CpiCube& stag,
-                      index_t k_offset, double tol) const;
+                      index_t k0, double tol) const;
 
  private:
   StapParams p_;

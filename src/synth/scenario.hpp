@@ -11,9 +11,34 @@
 // Patch geometry is fixed across CPIs while patch amplitudes redraw each
 // CPI: the clutter *statistics* are stationary (which the paper's
 // train-on-previous-CPIs scheme requires) but realizations differ.
+//
+// Stream layout. CPI i draws from one SplitMix64 stream,
+// Rng(seed).fork(i), and every complex sample costs exactly two draws
+// (Rng::cnormal), so each sample has a fixed position in the stream. With
+// K range cells, C clutter patches, Q jammers, J channels and N pulses:
+//   clutter amplitude of patch pc at range k   draws 2(k·C + pc)
+//   jammer q amplitude at (k, n)               draws 2(K·C + q·K·N + k·N + n)
+//   noise at flat cube index i = (k·J + j)·N + n
+//                                              draws 2(K·C + Q·K·N + i)
+// A worker that owns range cells [k0, k1) jumps to its first sample with
+// Rng::discard, so generate() splits the cube over threads and still
+// returns the bytes a single in-order pass would.
+//
+// Bit-exactness. Each clutter sample is the sum over patches, in ascending
+// patch order, of (g·a_j)·d_n in single precision, written out as separate
+// float multiplies and adds. This library is built with -ffp-contract=off,
+// so the compiler never fuses them into FMAs and the sum rounds exactly as
+// std::complex<float> arithmetic does; the dispatched AVX2 axpy fuses and
+// would round differently. The
+// chirp spread runs the same K-point FFTs per (channel, pulse) column as
+// before, just on a block of 8 adjacent columns at a time. Those FFTs use
+// the kernels active at the time: scalar and AVX2 cubes differ in their
+// last bits, as the FFTs themselves do. The replica spectrum is computed
+// once, at construction, with the kernels active then.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -69,7 +94,8 @@ struct ScenarioParams {
 
 /// Deterministic CPI stream generator: generate(i) always returns the same
 /// cube for the same (params, i), so distributed consumers can re-derive
-/// their partition of the input independently.
+/// their partition of the input independently. The cube is the same for
+/// any number of generator threads.
 class ScenarioGenerator {
  public:
   explicit ScenarioGenerator(ScenarioParams params);
@@ -81,7 +107,21 @@ class ScenarioGenerator {
 
   /// Generate CPI number `cpi_index` as a K x J x N cube, pulses unit
   /// stride (the corner-turned layout of the paper's interface boards).
-  cube::CpiCube generate(index_t cpi_index) const;
+  /// Runs on workers() threads.
+  cube::CpiCube generate(index_t cpi_index) const {
+    return generate(cpi_index, workers_);
+  }
+
+  /// The same cube, generated on `threads` threads (>= 1).
+  cube::CpiCube generate(index_t cpi_index, index_t threads) const;
+
+  /// Threads generate() uses: one per kMinSamplesPerWorker cube samples,
+  /// at most one per hardware thread, at least one.
+  index_t workers() const { return workers_; }
+
+  /// Cube samples below which another generator thread costs more to
+  /// spawn than it saves.
+  static constexpr index_t kMinSamplesPerWorker = index_t{1} << 16;
 
   /// Amplitude gain of the transmit beam active on CPI `cpi_index` toward
   /// `azimuth_rad` (1.0 when transmit cycling is disabled).
@@ -90,20 +130,39 @@ class ScenarioGenerator {
  private:
   ScenarioParams params_;
   std::vector<cfloat> replica_;
-  // Fixed patch geometry: per-patch spatial (J) and temporal (N) responses
-  // and amplitude scale.
-  std::vector<std::vector<cfloat>> patch_spatial_;
-  std::vector<std::vector<cfloat>> patch_temporal_;
-  std::vector<double> patch_doppler_;
-  double patch_sigma_ = 0.0;
-
+  struct Chirp;  // FFT plans + replica spectrum; hides dsp/fft.hpp
+  std::shared_ptr<const Chirp> chirp_;  // null when chirp_length == 0
+  index_t workers_ = 1;
+  // Fixed patch geometry, C patches: spatial responses (C x J), temporal
+  // responses split into real and imaginary planes (C x N each), azimuths.
+  std::vector<cfloat> patch_spatial_;
+  std::vector<float> patch_temporal_re_;
+  std::vector<float> patch_temporal_im_;
   std::vector<double> patch_azimuth_;
+  double patch_sigma_ = 0.0;
+  // Fixed steering of the jammers (Q x J) and targets (T x J, T x N).
+  std::vector<cfloat> jammer_spatial_;
+  std::vector<cfloat> target_spatial_;
+  std::vector<cfloat> target_temporal_;
 
-  void add_clutter(cube::CpiCube& cpi, index_t cpi_index, Rng& rng) const;
-  void add_jammers(cube::CpiCube& cpi, Rng& rng) const;
-  void add_noise(cube::CpiCube& cpi, Rng& rng) const;
-  void add_targets(cube::CpiCube& cpi, index_t cpi_index) const;
-  void spread_with_chirp(cube::CpiCube& cpi) const;
+  // One thread's buffers. generate() allocates them on the calling thread,
+  // so the workers never touch the heap (see common/parallel.hpp).
+  struct Scratch;
+
+  // Each fills range cells [k0, k1) (the chirp spread: column units
+  // [u0, u1) of (channel, 8-pulse block)) and reads `stream` through
+  // discard, never advancing it.
+  void add_clutter(cube::CpiCube& cpi, const std::vector<double>& scale,
+                   const Rng& stream, index_t k0, index_t k1,
+                   Scratch& s) const;
+  void add_targets(cube::CpiCube& cpi, const std::vector<float>& amp,
+                   index_t k0, index_t k1) const;
+  void spread_with_chirp(cube::CpiCube& cpi, index_t u0, index_t u1,
+                         Scratch& s) const;
+  void add_jammers(cube::CpiCube& cpi, const Rng& stream, index_t k0,
+                   index_t k1, Scratch& s) const;
+  void add_noise(cube::CpiCube& cpi, const Rng& stream, index_t k0,
+                 index_t k1) const;
 };
 
 }  // namespace ppstap::synth

@@ -123,6 +123,30 @@ TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {
   EXPECT_NE(f1.next_u64(), f2.next_u64());
 }
 
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 7ULL, 1000ULL}) {
+    Rng jumped(77), stepped(77);
+    jumped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) (void)stepped.next_u64();
+    EXPECT_EQ(jumped.next_u64(), stepped.next_u64()) << "n = " << n;
+  }
+}
+
+TEST(Rng, DiscardTwoMLandsOnTheNextComplexSample) {
+  // cnormal() costs exactly two draws, so discard(2m) skips m samples.
+  const Rng base = Rng(5).fork(3);
+  for (const std::uint64_t m : {0ULL, 1ULL, 5ULL, 64ULL}) {
+    Rng fresh = base;
+    cdouble expected{};
+    for (std::uint64_t i = 0; i <= m; ++i) expected = fresh.cnormal();
+    Rng jumped = base;
+    jumped.discard(2 * m);
+    const cdouble got = jumped.cnormal();
+    EXPECT_EQ(got.real(), expected.real()) << "m = " << m;
+    EXPECT_EQ(got.imag(), expected.imag()) << "m = " << m;
+  }
+}
+
 // --- hardened environment parsing ------------------------------------------
 
 class EnvParse : public ::testing::Test {
