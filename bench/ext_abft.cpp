@@ -304,10 +304,14 @@ int main(int argc, char** argv) {
 
   // --- panel 3: persistent corruption escalates to one ledgered shed -------
   {
+    // Both executions of one stage corrupted: the flips are pinned to
+    // Doppler rank 0, or with several Doppler ranks they could land on two
+    // ranks that each repair theirs.
     FaultPlan plan(/*seed=*/31);
     plan.add_compute(FaultPlan::flip_stage(
         static_cast<int>(stap::Task::kDopplerFilter), /*cpi=*/10, /*bit=*/30,
-        /*max_applications=*/2));
+        /*max_applications=*/2,
+        /*rank=*/ds.a.first_rank(stap::Task::kDopplerFilter)));
     auto pipe = make_detect_pipe();
     core::IntegrityConfig ic;
     ic.enabled = true;

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
         static_cast<int>(n_cpis / 2) * kTagStride + kEdgeDopToHardWt));
     auto pipe = make_pipeline();
     core::FaultToleranceConfig ft;
-    ft.spare_rank = true;
+    ft.spares = 1;
     pipe.set_fault_tolerance(ft);
     pipe.set_fault_plan(&plan);
     auto r = pipe.run(gen, n_cpis, 2, 2);

@@ -25,7 +25,10 @@
 #      take-over, mailbox discard), so a data race there is a correctness
 #      bug even when the race-free interleaving happens to pass. The
 #      scene generator's suite runs there too: generate() fills disjoint
-#      range blocks and column blocks of one cube from worker threads.
+#      range blocks and column blocks of one cube from worker threads. So
+#      do the integrity, overload and checkpoint suites: the one stage
+#      driver carries the ABFT escalation, the degradation ladder and the
+#      checkpoint/resume path on every rank thread.
 #   5. ASan+UBSan job: the comm/core/fault/overload/kernels-labelled
 #      suites under -fsanitize=address,undefined. The overload paths hand
 #      frames across degraded/shed boundaries and retry solves on
@@ -127,16 +130,17 @@ cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-notrace -j "$JOBS"
 ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
 
-echo "=== TSan: comm + core + fault tolerance + elastic migration + synth ==="
+echo "=== TSan: comm + core + fault tolerance + elastic migration + synth + integrity + overload + checkpoint ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
       --target test_comm test_collectives test_core test_fault_tolerance \
-               test_elastic test_synth
+               test_elastic test_synth test_integrity test_overload \
+               test_checkpoint
 TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_synth)$'
+      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_synth|test_integrity|test_overload|test_checkpoint)$'
 
 echo "=== ASan+UBSan: comm + core + fault + overload ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

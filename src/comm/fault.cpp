@@ -175,10 +175,11 @@ FaultRule FaultPlan::duplicate_message(int src, int dest, int tag) {
 }
 
 ComputeFaultRule FaultPlan::flip_stage(int task, long long cpi, int bit,
-                                       int max_applications) {
+                                       int max_applications, int rank) {
   ComputeFaultRule r;
   r.task = task;
   r.cpi = cpi;
+  r.rank = rank;
   r.bit = bit;
   r.max_applications = max_applications;
   return r;
@@ -191,6 +192,7 @@ bool FaultPlan::compute_flip_due(int task, long long cpi, int rank,
     const ComputeFaultRule& r = compute_rules_[i];
     if (r.task >= 0 && r.task != task) continue;
     if (r.cpi >= 0 && r.cpi != cpi) continue;
+    if (r.rank >= 0 && r.rank != rank) continue;
     if (r.max_applications >= 0 &&
         compute_applications_[i] >= r.max_applications)
       continue;

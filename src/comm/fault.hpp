@@ -80,15 +80,18 @@ struct FaultRule {
 
 /// Seeded *compute-stage* bit-flip injection (PR 5): flips one bit of one
 /// element of a stage's output buffer after the kernel runs, before the
-/// ABFT invariant is checked. Matched by task and CPI (with -1 wildcards)
-/// instead of (src, dest, tag) — corruption happens inside a rank, not on
-/// the wire. `occurrence` in the coin is the per-rule match ordinal, so a
-/// probability sweep replays exactly. With max_applications = 1 the
-/// recompute runs clean and the repair succeeds; with max_applications = 2
-/// both executions are corrupted and the policy must escalate.
+/// ABFT invariant is checked. Matched by task, CPI and executing rank (with
+/// -1 wildcards) instead of (src, dest, tag) — corruption happens inside a
+/// rank, not on the wire. `occurrence` in the coin is the per-rule match
+/// ordinal, so a probability sweep replays exactly. With
+/// max_applications = 1 the recompute runs clean and the repair succeeds;
+/// with max_applications = 2 both executions are corrupted and the policy
+/// must escalate — pin `rank` when the task has several ranks, or the two
+/// flips may land on two ranks that each repair theirs.
 struct ComputeFaultRule {
   int task = -1;            ///< stap::Task ordinal, -1 = any
   long long cpi = -1;       ///< CPI index, -1 = any
+  int rank = -1;            ///< global rank executing the stage, -1 = any
   double probability = 1.0; ///< per matching execution, seeded coin
   int bit = 30;             ///< bit to flip (30 = top exponent bit)
   int max_applications = 1; ///< stop after N flips, -1 = unlimited
@@ -152,9 +155,10 @@ class FaultPlan {
   static FaultRule duplicate_message(int src, int dest, int tag);
   /// Flip `bit` of one output element of `task`'s execution for `cpi`
   /// (once by default; pass max_applications = 2 to also corrupt the
-  /// recompute and force an escalation).
+  /// recompute and force an escalation), on `rank` only when it is >= 0.
   static ComputeFaultRule flip_stage(int task, long long cpi, int bit = 30,
-                                     int max_applications = 1);
+                                     int max_applications = 1,
+                                     int rank = -1);
 
   // Hooks called by World (thread-safe) --------------------------------------
   /// True when a kKill rule fires for the rank performing the operation.

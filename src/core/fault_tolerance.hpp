@@ -10,11 +10,12 @@
 //    downstream instead of stalling the stream; the CFAR sink records the
 //    CPI as shed. Late frames for a shed CPI are discarded on arrival.
 //
-//  * Spare-rank failover — the world gets one standby rank; weight-task
-//    ranks checkpoint their adaptive state (easy training history / hard
-//    triangular factors, via the weight-computer save/restore) after every
-//    CPI, and a killed weight rank is revived on the spare: state restored,
-//    identity and mailbox assumed, stream resumed at the next CPI. The
+//  * Spare-rank failover — the world gets a pool of standby ranks;
+//    weight-task ranks checkpoint their adaptive state (easy training
+//    history / hard triangular factors, via the weight-computer
+//    save/restore) after every CPI, and a killed rank is revived on a
+//    spare: state restored, identity and mailbox assumed, stream resumed at
+//    the next CPI (a stateless rank at its frozen progress point). The
 //    measured recovery stall is the empirical counterpart of the machine
 //    model's ReallocationPlan::migration_stall.
 //
@@ -37,16 +38,12 @@ struct FaultToleranceConfig {
   /// from the start of that task's receive phase.
   double cpi_deadline_seconds = 0.25;
 
-  /// Spare-rank failover (policy (b)): run one standby rank that revives
-  /// killed weight-task ranks from their checkpoints. Kept for
-  /// back-compat; equivalent to `spares = 1` when `spares` is unset.
-  bool spare_rank = false;
-  /// Spare pool size (PR 8): N standby ranks, each able to assume *any*
-  /// role. Weight ranks resume from their per-CPI checkpoints; the
-  /// stateless tasks (Doppler, beamform, PC, CFAR) resume from the
-  /// topology epoch, with any half-consumed in-flight CPI shed by the
-  /// deadline machinery (so mid-CPI stateless recovery wants `shedding`
-  /// on). 0 defers to `spare_rank`.
+  /// Spare-rank failover (policy (b)): a pool of N standby ranks, each
+  /// able to assume *any* role. Weight ranks resume from their per-CPI
+  /// checkpoints; the stateless tasks (Doppler, beamform, PC, CFAR) resume
+  /// from the topology epoch, with any half-consumed in-flight CPI shed by
+  /// the deadline machinery (so mid-CPI stateless recovery wants
+  /// `shedding` on). 0 = no pool.
   int spares = 0;
   /// When the pool is exhausted (or empty) and a rank of a migratable
   /// group dies, let the elastic engine shrink the group to the survivors
@@ -55,18 +52,12 @@ struct FaultToleranceConfig {
   /// How often the idle spare polls for deaths (and for stream completion).
   double death_poll_seconds = 0.002;
 
-  /// Effective spare-pool size.
-  int spare_count() const { return spares > 0 ? spares : (spare_rank ? 1 : 0); }
-
-  bool any() const {
-    return shedding || spare_count() > 0 || heal_shrink;
-  }
+  bool any() const { return shedding || spares > 0 || heal_shrink; }
 
   /// Read the PPSTAP_FAULT_* / PPSTAP_SPARES / PPSTAP_HEAL* environment
   /// knobs (see README):
   ///   PPSTAP_FAULT_DEADLINE  seconds; > 0 enables shedding with that budget
-  ///   PPSTAP_FAULT_SPARE     nonzero enables one spare rank (legacy)
-  ///   PPSTAP_SPARES          spare-pool size (overrides PPSTAP_FAULT_SPARE)
+  ///   PPSTAP_SPARES          spare-pool size
   ///   PPSTAP_HEAL_SHRINK     nonzero enables shrink-to-survivors
   ///   PPSTAP_FAULT_POLL      seconds; overrides death_poll_seconds
   static FaultToleranceConfig from_env();

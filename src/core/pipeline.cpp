@@ -13,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
@@ -40,23 +42,12 @@ using cube::BlockPartition;
 using linalg::MatrixCF;
 using stap::Task;
 
-// Inter-task edges (arrows of paper Fig. 4, spatial dependencies only; the
-// temporal dependencies TD_{1,3}/TD_{2,4} are realized through the +1 CPI
-// tag offset on the weight edges).
-enum Edge : int {
-  kDopToEasyWt = 0,
-  kDopToHardWt = 1,
-  kDopToEasyBf = 2,
-  kDopToHardBf = 3,
-  kEasyWtToBf = 4,
-  kHardWtToBf = 5,
-  kEasyBfToPc = 6,
-  kHardBfToPc = 7,
-  kPcToCfar = 8,
-};
+// Message tags: one slot per Fig.-4 edge (SimEdge, sim.hpp) per consumer
+// CPI. The temporal dependencies TD_{1,3}/TD_{2,4} are realized by tagging
+// the weight edges with the CPI that consumes the weights.
 constexpr int kEdgeCount = 16;  // tag stride (power of two headroom)
 
-int tag_for(index_t cpi, Edge e) {
+int tag_for(index_t cpi, SimEdge e) {
   return static_cast<int>(cpi) * kEdgeCount + static_cast<int>(e);
 }
 
@@ -164,18 +155,13 @@ struct Shared {
   }
   index_t measured_count() const { return n_cpis - warmup - cooldown; }
 
-  // Initial-layout rank lookups. Only valid for the non-migratable groups
-  // (weights, beamforming — their membership never changes) and for
-  // spare-rank bookkeeping; anything involving Doppler / pulse compression
-  // / CFAR membership must go through topo(cpi).
-  int base(Task t) const { return a.first_rank(t); }
-  int count(Task t) const { return a[t]; }
-
-  /// Topology governing `cpi` (lock-free epoch lookup).
+  /// Topology governing `cpi` (lock-free epoch lookup). Only the Doppler,
+  /// pulse-compression and CFAR groups migrate; the weight and beamforming
+  /// groups keep their epoch-0 membership and partitions.
   const Topology& topo(index_t cpi) const { return eng->topo(cpi); }
   /// Per-CPI migration hook: records progress, joins a pending barrier,
-  /// returns the topology for `cpi`. Call at the top of every task's CPI
-  /// loop before any receive or send for that CPI.
+  /// returns the topology for `cpi`. Called at the top of every Fig.-10
+  /// cycle before any receive or send for that CPI.
   const Topology& barrier(Comm& c, index_t cpi) {
     const Topology& tp = eng->barrier_point(c, cpi);
     // Quarantine hook: a confirmed straggler dies voluntarily at its next
@@ -216,14 +202,13 @@ struct Shared {
   }
 };
 
-// Per-rank Figure-10 phase accumulator.
+// Per-rank Figure-10 phase accumulator over the measured CPIs.
 struct PhaseAcc {
   double recv = 0, comp = 0, send = 0;
-  std::uint64_t bytes = 0;
-  void commit(Shared& s, Task t, index_t measured_cpis) {
+  void commit(Shared& s, Task t, std::uint64_t bytes) {
     std::lock_guard<std::mutex> lock(s.mu);
     auto& sum = s.timing_sum[static_cast<size_t>(t)];
-    const double inv = 1.0 / static_cast<double>(measured_cpis);
+    const double inv = 1.0 / static_cast<double>(s.measured_count());
     sum.recv += recv * inv;
     sum.comp += comp * inv;
     sum.send += send * inv;
@@ -249,10 +234,10 @@ std::uint64_t flip_salt(int rank, index_t cpi, int attempt) {
 }
 
 // Compute-stage fault injection: when the installed plan schedules a flip
-// for (task, cpi, attempt), corrupt one bit of the stage's freshly computed
-// output. Applied before verification — and also when verification is off,
-// so the ABFT-off arm of the detection bench measures true silent
-// corruption.
+// for (task, cpi, rank, attempt), corrupt one bit of the stage's freshly
+// computed output. Applied before verification — and also when
+// verification is off, so the ABFT-off arm of the detection bench measures
+// true silent corruption.
 void maybe_flip(Shared& s, Task t, index_t cpi, int rank, int attempt,
                 std::span<float> out) {
   if (s.plan == nullptr) return;
@@ -332,36 +317,13 @@ void append_digest(std::vector<T>& buf) {
 // Trace context for a redistribution frame on edge `e` toward the consumer
 // of `cpi` (weight edges pass the consumer's CPI, so the flow lands on the
 // chain that actually uses the weights). Built only when tracing is on.
-comm::FlowContext flow_for(index_t cpi, Edge e) {
+comm::FlowContext flow_for(index_t cpi, SimEdge e) {
   comm::FlowContext fc;
   fc.cpi = static_cast<std::int64_t>(cpi);
-  fc.task = static_cast<std::int16_t>(sim_edge_src(static_cast<SimEdge>(e)));
+  fc.task = static_cast<std::int16_t>(sim_edge_src(e));
   fc.edge = static_cast<std::int16_t>(e);
-  fc.hop = e <= kDopToHardBf ? 1 : (e == kPcToCfar ? 3 : 2);
+  fc.hop = e <= SimEdge::kDopToHardBf ? 1 : (e == SimEdge::kPcToCfar ? 3 : 2);
   return fc;
-}
-
-void send_cf(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
-             std::vector<cfloat>& buf, bool measured, PhaseAcc& acc) {
-  const std::uint64_t n = buf.size() * sizeof(cfloat);
-  comm::FlowContext fc;
-  const comm::FlowContext* flow = nullptr;
-  if (obs::tracing_enabled()) {
-    fc = flow_for(cpi, e);
-    flow = &fc;
-  }
-  if (s.integ.enabled) {
-    append_digest(buf);
-    c.send<cfloat>(dest, tag_for(cpi, e), buf, flow);
-    buf.resize(buf.size() - digest_elems<cfloat>());
-  } else {
-    c.send<cfloat>(dest, tag_for(cpi, e), buf, flow);
-  }
-  if (measured) {
-    acc.bytes += n;
-    s.edge_bytes[static_cast<size_t>(e)].fetch_add(n,
-                                                   std::memory_order_relaxed);
-  }
 }
 
 // One obs span per Figure-10 phase: recv [t0,t1), comp [t1,t2),
@@ -440,10 +402,6 @@ struct FtRecv {
         r.status == comm::RecvStatus::kPeerDead)
       stale.emplace_back(src, tag);
     return std::nullopt;
-  }
-
-  std::optional<std::vector<cfloat>> recv_cf(int src, int tag) {
-    return recv<cfloat>(src, tag);
   }
 };
 
@@ -573,8 +531,81 @@ bool run_checked(Comm& c, Shared& s, Task t, index_t cpi, ComputeFn&& compute,
   return ok;
 }
 
-/// Spare-rank resume request: restore the serialized weight computers and
-/// re-enter the CPI loop at `cpi`. `restored` fires once state is back
+// Sink commit of one CFAR rank's report for `cpi` (a shed report carries no
+// detections). The CPI completes once every live member of the CFAR group
+// has committed, and the completion closes the overload-control loop:
+// latency samples drive the SLO term, completions release throttled
+// producers. Returns whether the CPI sheds — a dead CFAR peer forces it.
+bool commit_report(Shared& s, const Topology& tp, index_t cpi, bool shed,
+                   const std::vector<stap::Detection>& dets) {
+  bool cpi_done = false;
+  bool cpi_shed = false;
+  double latency = 0.0;
+  std::vector<index_t> retro;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    // Quorum completion: a permanently dead CFAR peer will never tick, so
+    // the CPI completes on the live members alone — and must shed, since
+    // the corpse's range slice is missing from the report. Post-shrink
+    // epochs drop the corpse from the group, so live == group and
+    // coverage is whole again. While the peer is merely dead-recoverable
+    // (a pool spare will revive it and deliver its ticks) the full group
+    // count stands.
+    const int group = tp.count(Task::kCfar);
+    int live = 0;
+    for (int r = 0; r < group; ++r)
+      live += s.eng->rank_permanently_dead(tp.rank_at(Task::kCfar, r)) ? 0
+                                                                        : 1;
+    if (live < group) {
+      shed = true;
+      // Sweep CPIs this rank already ticked at full group strength whose
+      // last tick died with the peer: complete them as shed now, or the
+      // admission backlog pins on completions that can never come.
+      for (index_t j = 0; j < cpi; ++j) {
+        const auto ji = static_cast<size_t>(j);
+        if (s.completion[ji] > 0.0) continue;
+        const Topology& tj = s.topo(j);
+        int live_j = 0;
+        for (int r = 0; r < tj.count(Task::kCfar); ++r)
+          live_j +=
+              s.eng->rank_permanently_dead(tj.rank_at(Task::kCfar, r)) ? 0
+                                                                       : 1;
+        if (s.cfar_done[ji] >= live_j && live_j > 0) {
+          s.shed[ji] = 1;
+          s.detections[ji].clear();
+          s.completion[ji] = WallTimer::now();
+          retro.push_back(j);
+        }
+      }
+    }
+    const auto i = static_cast<size_t>(cpi);
+    // A shed CPI reports nothing: wipe contributions a peer banked before
+    // this rank learned the CPI cannot complete whole (e.g. the dead CFAR
+    // peer ticked here before dying mid-stream).
+    if (shed) {
+      s.shed[i] = 1;
+      s.detections[i].clear();
+    } else {
+      s.detections[i].insert(s.detections[i].end(), dets.begin(), dets.end());
+    }
+    if (++s.cfar_done[i] >= live && s.completion[i] == 0.0) {
+      const double done = WallTimer::now();
+      s.completion[i] = done;
+      cpi_done = true;
+      cpi_shed = s.shed[i] != 0;
+      latency = s.input_ready[i] > 0.0 ? done - s.input_ready[i] : 0.0;
+    }
+  }
+  if (s.ctrl != nullptr) {
+    if (cpi_done) s.ctrl->on_complete(cpi, latency, cpi_shed);
+    for (const index_t j : retro) s.ctrl->on_complete(j, 0.0, true);
+  }
+  return shed;
+}
+
+/// Spare-rank resume request: re-enter the stream at `cpi` under a dead
+/// rank's identity, restoring the serialized weight computers from `blob`
+/// (empty for the stateless roles). `restored` fires once state is back
 /// (recovery-stall measurement point).
 struct Resume {
   index_t cpi = 0;
@@ -583,621 +614,540 @@ struct Resume {
 };
 
 // ---------------------------------------------------------------------------
-// Task 0: Doppler filter processing (partitioned along K)
+// The Fig.-10 stage driver
 // ---------------------------------------------------------------------------
-// Returns the first CPI this rank did NOT process as a Doppler rank
-// (s.n_cpis when it ran to the end): a committed migration that changes
-// this rank's role hands control back to the per-rank driver loop, which
-// re-dispatches the new task's body at the returned CPI.
-index_t run_doppler(Comm& c, Shared& s, index_t begin) {
-  const auto& p = s.p;
-  const index_t j = p.num_channels;
-  const index_t jj = p.num_staggered_channels();
-  stap::DopplerFilter filter(p);
-  PhaseAcc acc;
+// Every task group runs the same cycle per CPI: receive (+unpack), compute,
+// send (+pack), each phase timed. drive() owns everything the seven tasks
+// share — the epoch barrier and role check, the t0..t3 stamps, the ABFT
+// detect/recompute/escalate policy (run_checked: flip injection, straggle
+// hook), the shed-marker fan-out along the task's Fig.-4 out-edges, phase
+// spans, health samples and the phase accumulator — and calls the task's
+// hooks over its own buffers:
+//
+//   admit(cy)             before t0 (Doppler: admission gate, policy tick)
+//   recv(cy, ftr)         unpack this CPI's inputs; false = the CPI sheds
+//   prepare(cy)           once at the start of the compute phase; false =
+//                         serve the last output without computing
+//   compute(cy, attempt)  produce the output (attempt 1 = ABFT recompute)
+//   verify(cy)            the stage's ABFT invariant over that output
+//   recover(cy)           after an escalation: true when a fallback output
+//                         exists (the weight tasks' stale cache)
+//   send(cy)              pack and send; for CFAR the sink commit
+//
+// A shed cycle sends markers instead of output on every out-edge; the sink
+// has none, and its send commits the shed CPI. Every cycle emits its three
+// spans and feeds the accumulator; health samples the cycles that
+// delivered output. A stage frees the last cycle's cubes at the top of
+// recv, before this cycle allocates its own: a cube allocated while its
+// predecessor is still live cannot reuse that block, and the fresh pages
+// it faults in made the Doppler ranks of a free-running pipeline drift
+// out of step with the shared source more often.
 
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    // Migration hook: record progress, join a pending barrier, resolve
-    // this CPI's topology. On a committed migration that moved this rank,
-    // bail out to the driver loop.
+// One Fig.-10 cycle as the driver hands it to a stage's hooks.
+struct Cycle {
+  index_t cpi;
+  const Topology& tp;  // topology governing this CPI
+  int me;              // this rank's index in its task group
+  double t0 = 0.0;     // receive phase [t0, t1)
+  double t1 = 0.0;
+  bool shed = false;
+};
+
+// What every stage shares: its rank's comm endpoint, the run state, the
+// sends (with byte accounting and digests) and the default hooks.
+struct StageBase {
+  Comm& c;
+  Shared& s;
+  std::uint64_t sent = 0;  // payload bytes sent for measured CPIs
+
+  // Send `buf` on edge `e` to `dest` for consumer CPI `cpi`, the
+  // end-to-end digest appended when ABFT is on.
+  template <typename T>
+  void send_frame(int dest, index_t cpi, SimEdge e, std::vector<T>& buf) {
+    const std::uint64_t n = buf.size() * sizeof(T);
+    comm::FlowContext fc;
+    const comm::FlowContext* flow = nullptr;
+    if (obs::tracing_enabled()) {
+      fc = flow_for(cpi, e);
+      flow = &fc;
+    }
+    if (s.integ.enabled) append_digest(buf);
+    c.send<T>(dest, tag_for(cpi, e), buf, flow);
+    if (s.measured(cpi)) {
+      sent += n;
+      s.edge_bytes[static_cast<size_t>(e)].fetch_add(
+          n, std::memory_order_relaxed);
+    }
+  }
+
+  // A shed marker on edge `e` to every rank of its consumer task. The
+  // consumer of a temporal (weight) edge is the next visit of the same
+  // transmit position, which may lie past the end of the stream.
+  void send_markers(const Cycle& cy, SimEdge e) {
+    const index_t to = sim_edge_is_temporal(e)
+                           ? cy.cpi + s.p.num_beam_positions
+                           : cy.cpi;
+    if (to >= s.n_cpis) return;
+    const Task dst = sim_edge_dst(e);
+    for (int r = 0; r < cy.tp.count(dst); ++r)
+      c.send_marker(cy.tp.rank_at(dst, r), tag_for(to, e));
+  }
+
+  void admit(const Cycle&) {}
+  bool prepare(const Cycle&) { return true; }
+  bool recover(const Cycle&) { return false; }
+  void finish() {}
+};
+
+// Runs `st` as task `t` from `begin` until the stream ends or a committed
+// migration changes this rank's role; returns the first CPI it did not
+// process (s.n_cpis when it ran to the end).
+template <typename Stage>
+index_t drive(Stage& st, Task t, index_t begin) {
+  Comm& c = st.c;
+  Shared& s = st.s;
+  const bool sink = t == Task::kCfar;
+  FtRecv ftr = make_ftr(c, s);
+  PhaseAcc acc;
+  index_t cpi = begin;
+  for (; cpi < s.n_cpis; ++cpi) {
     const Topology& tp = s.barrier(c, cpi);
     const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kDopplerFilter) {
-      next = cpi;
-      break;
-    }
-    const int me = role.local;
-    if (c.rank() == s.eng->coordinator_rank()) s.eng->policy_tick(c, cpi);
-    const index_t k0 = tp.part_k.offset(me);
-    const index_t kl = tp.part_k.length(me);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-
-    // Admission gate (pacing, bounded queue, degradation ladder). The
-    // decision is memoized: every Doppler rank gets the same answer, and
-    // it is fixed before any frame of this CPI is sent.
-    const auto adm = s.source.admit(cpi);
-    const double t0 = WallTimer::now();
-    if (me == 0) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.input_ready[static_cast<size_t>(cpi)] = t0;
-    }
-    if (me == 0 && obs::tracing_enabled() &&
-        adm.level != DegradationLevel::kFull)
-      obs::emit({degradation_level_name(adm.level), "overload", c.rank(),
-                 obs::kFaultTrack, static_cast<std::int64_t>(cpi), t0, t0,
-                 static_cast<std::int64_t>(adm.level), -1});
-
-    if (!adm.admit) {
-      // Rejected at admission (kShedInput): the cube is never generated;
-      // shed markers take the place of every downstream frame.
-      for (int r = 0; r < tp.count(Task::kEasyWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-      for (int r = 0; r < tp.count(Task::kHardWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-      for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyBeamform, r),
-                      tag_for(cpi, kDopToEasyBf));
-      for (int r = 0; r < tp.count(Task::kHardBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kHardBeamform, r),
-                      tag_for(cpi, kDopToHardBf));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t0, t0, t3,
-                       0);
-      if (meas) acc.send += t3 - t0;
-      continue;
-    }
-    // Training is suppressed on the frozen/stale rungs: kFrozenHard stops
-    // feeding the hard recursion, kStaleWeights stops both weight tasks.
-    const bool skip_hard_training = adm.level >= DegradationLevel::kFrozenHard;
-    const bool skip_easy_training =
-        adm.level >= DegradationLevel::kStaleWeights;
-
-    // "Receive": take the CPI from the radar feed. The filter reads this
-    // rank's range slab [k0, k0 + kl) in place.
-    auto full = s.source.get(cpi, c.rank());
-    const double t1 = WallTimer::now();
-
-    cube::CpiCube stag;
-    const bool ok = run_checked(
-        c, s, Task::kDopplerFilter, cpi,
-        [&](int attempt) {
-          stag = filter.filter(*full, k0, kl);
-          maybe_flip(s, Task::kDopplerFilter, cpi, c.rank(), attempt,
-                     float_view(stag));
-        },
-        [&] {
-          return filter.parseval_check(*full, stag, k0, s.integ.tolerance);
-        });
-    full.reset();
-    const double t2 = WallTimer::now();
-
-    if (!ok) {
-      // Persistent corruption in the filter output: drop this rank's slab
-      // from the CPI exactly like an admission reject — markers take the
-      // place of every downstream frame and the sink ledgers one shed.
-      for (int r = 0; r < tp.count(Task::kEasyWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-      for (int r = 0; r < tp.count(Task::kHardWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-      for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyBeamform, r),
-                      tag_for(cpi, kDopToEasyBf));
-      for (int r = 0; r < tp.count(Task::kHardBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kHardBeamform, r),
-                      tag_for(cpi, kDopToHardBf));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t1, t2, t3e,
-                       0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
-    // --- data collection + personalized sends (Figs. 6b, 8) --------------
-    // Easy weight task: training rows (J channels) at the easy training
-    // cells inside this slab, for each destination's owned bins. On the
-    // stale-weights rung a marker replaces the rows (the computer keeps
-    // serving its last weights).
-    for (int r = 0; r < tp.count(Task::kEasyWeight); ++r) {
-      if (skip_easy_training) {
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-        continue;
-      }
-      std::vector<cfloat> buf;
-      const auto bins = slice(s.easy_bins, tp.part_ewt, r);
-      for (index_t bin : bins)
-        for (index_t cell : s.easy_cells) {
-          if (cell < k0 || cell >= k0 + kl) continue;
-          for (index_t ch = 0; ch < j; ++ch)
-            buf.push_back(stag.at(cell - k0, ch, bin));
-        }
-      send_cf(c, s, tp.rank_at(Task::kEasyWeight, r), cpi, kDopToEasyWt, buf,
-              meas, acc);
-    }
-    // Hard weight task: 2J-channel training rows per (bin, segment) unit.
-    // Frozen from kFrozenHard up — the recursion reuses its last R.
-    for (int r = 0; r < tp.count(Task::kHardWeight); ++r) {
-      if (skip_hard_training) {
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-        continue;
-      }
-      std::vector<cfloat> buf;
-      const auto units = slice(s.hard_units, tp.part_hwu, r);
-      for (const auto& u : units)
-        for (index_t cell : s.hard_cells[static_cast<size_t>(u.segment)]) {
-          if (cell < k0 || cell >= k0 + kl) continue;
-          for (index_t ch = 0; ch < jj; ++ch)
-            buf.push_back(stag.at(cell - k0, ch, u.bin));
-        }
-      send_cf(c, s, tp.rank_at(Task::kHardWeight, r), cpi, kDopToHardWt, buf,
-              meas, acc);
-    }
-    // Easy beamforming: the full slab for the destination's bins, J
-    // channels, reorganized to (bin, range, channel) — Fig. 8.
-    for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r) {
-      const auto bins = slice(s.easy_bins, tp.part_ebf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * j));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < j; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kEasyBeamform, r), cpi, kDopToEasyBf,
-              buf, meas, acc);
-    }
-    // Hard beamforming: same with both stagger halves (2J channels).
-    for (int r = 0; r < tp.count(Task::kHardBeamform); ++r) {
-      const auto bins = slice(s.hard_bins, tp.part_hbf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * jj));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < jj; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kHardBeamform, r), cpi, kDopToHardBf,
-              buf, meas, acc);
-    }
+    if (role.task != t) break;
+    Cycle cy{cpi, tp, role.local};
+    st.admit(cy);
+    const std::uint64_t sent0 = st.sent;
+    cy.t0 = WallTimer::now();
+    ftr.begin();
+    const bool received = st.recv(cy, ftr);
+    cy.t1 = WallTimer::now();
+    bool ok = received;
+    if (received && st.prepare(cy))
+      ok = run_checked(
+               c, s, t, cpi, [&](int attempt) { st.compute(cy, attempt); },
+               [&] { return st.verify(cy); }) ||
+           st.recover(cy);
+    const double t2 = received ? WallTimer::now() : cy.t1;
+    cy.shed = !ok;
+    if (cy.shed)
+      for (int e = 0; e < kNumEdges; ++e)
+        if (sim_edge_src(static_cast<SimEdge>(e)) == t)
+          st.send_markers(cy, static_cast<SimEdge>(e));
+    const bool delivers = !cy.shed || sink;
+    if (delivers) st.send(cy);
     const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kDopplerFilter, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
+    emit_phase_spans(c.rank(), t, cpi, cy.t0, cy.t1, t2, t3, st.sent - sent0);
+    if (delivers) observe_health(c, s, t, cpi, cy.t0, cy.t1, t3);
+    // Detector tick from the sink, not the coordinator: the pipelined
+    // front can sprint arbitrarily far ahead of a straggler (and exit its
+    // loop before the victim has min_samples), while the sink only reaches
+    // CPI i after every upstream rank has sampled it — scans always score
+    // mature statistics.
+    if (sink && role.local == 0) health_scan(s, tp, cpi);
+    if (s.measured(cpi)) {
+      acc.recv += cy.t1 - cy.t0;
+      acc.comp += t2 - cy.t1;
       acc.send += t3 - t2;
     }
   }
-  acc.commit(s, Task::kDopplerFilter, s.measured_count());
-  return next;
+  st.finish();
+  acc.commit(s, t, st.sent);
+  return cpi;
 }
 
 // ---------------------------------------------------------------------------
-// Task 1: easy weight computation (partitioned along easy bins)
+// Task 0: Doppler filter processing (partitioned along K)
 // ---------------------------------------------------------------------------
-void run_easy_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
-  const auto& p = s.p;
-  const index_t j = p.num_channels;
-  const index_t positions = p.num_beam_positions;
+struct DopplerStage : StageBase {
+  stap::DopplerFilter filter;
+  OverloadController::Admission adm;
+  std::shared_ptr<const cube::CpiCube> full;
+  cube::CpiCube stag;
+  index_t k0 = 0, kl = 0;  // this rank's range slab
+
+  DopplerStage(Comm& c, Shared& s) : StageBase{c, s}, filter(s.p) {}
+
+  // Admission gate (pacing, bounded queue, degradation ladder). The
+  // decision is memoized: every Doppler rank gets the same answer, and it
+  // is fixed before any frame of this CPI is sent.
+  void admit(const Cycle& cy) {
+    if (c.rank() == s.eng->coordinator_rank()) s.eng->policy_tick(c, cy.cpi);
+    adm = s.source.admit(cy.cpi);
+  }
+
+  // "Receive": take the CPI from the radar feed. A CPI rejected at
+  // admission (kShedInput) is never generated.
+  bool recv(const Cycle& cy, FtRecv&) {
+    stag = cube::CpiCube();
+    if (cy.me == 0) {
+      {
+        std::lock_guard<std::mutex> lock(s.mu);
+        s.input_ready[static_cast<size_t>(cy.cpi)] = cy.t0;
+      }
+      if (obs::tracing_enabled() && adm.level != DegradationLevel::kFull)
+        obs::emit({degradation_level_name(adm.level), "overload", c.rank(),
+                   obs::kFaultTrack, static_cast<std::int64_t>(cy.cpi), cy.t0,
+                   cy.t0, static_cast<std::int64_t>(adm.level), -1});
+    }
+    if (!adm.admit) return false;
+    k0 = cy.tp.part_k.offset(cy.me);
+    kl = cy.tp.part_k.length(cy.me);
+    full = s.source.get(cy.cpi, c.rank());
+    return true;
+  }
+
+  // The filter reads this rank's range slab [k0, k0 + kl) in place.
+  void compute(const Cycle& cy, int attempt) {
+    stag = filter.filter(*full, k0, kl);
+    maybe_flip(s, Task::kDopplerFilter, cy.cpi, c.rank(), attempt,
+               float_view(stag));
+  }
+  bool verify(const Cycle&) {
+    return filter.parseval_check(*full, stag, k0, s.integ.tolerance);
+  }
+
+  // Data collection + personalized sends (Figs. 6b, 8).
+  void send(const Cycle& cy) {
+    full.reset();
+    const Topology& tp = cy.tp;
+    const index_t j = s.p.num_channels;
+    const index_t jj = s.p.num_staggered_channels();
+    // Weight tasks: the training rows at one item's training cells inside
+    // this slab.
+    auto pack_training = [&](std::vector<cfloat>& buf,
+                             const std::vector<index_t>& cells, index_t bin,
+                             index_t nch) {
+      for (const index_t cell : cells) {
+        if (cell < k0 || cell >= k0 + kl) continue;
+        for (index_t ch = 0; ch < nch; ++ch)
+          buf.push_back(stag.at(cell - k0, ch, bin));
+      }
+    };
+    // Training is suppressed on the frozen/stale rungs — kFrozenHard stops
+    // feeding the hard recursion, kStaleWeights both weight tasks — and a
+    // marker replaces the rows (the computer keeps its last state).
+    if (adm.level >= DegradationLevel::kStaleWeights) {
+      send_markers(cy, SimEdge::kDopToEasyWt);
+    } else {
+      for (int r = 0; r < tp.count(Task::kEasyWeight); ++r) {
+        std::vector<cfloat> buf;
+        for (const index_t bin : slice(s.easy_bins, tp.part_ewt, r))
+          pack_training(buf, s.easy_cells, bin, j);
+        send_frame(tp.rank_at(Task::kEasyWeight, r), cy.cpi,
+                   SimEdge::kDopToEasyWt, buf);
+      }
+    }
+    if (adm.level >= DegradationLevel::kFrozenHard) {
+      send_markers(cy, SimEdge::kDopToHardWt);
+    } else {
+      for (int r = 0; r < tp.count(Task::kHardWeight); ++r) {
+        std::vector<cfloat> buf;
+        for (const auto& u : slice(s.hard_units, tp.part_hwu, r))
+          pack_training(buf, s.hard_cells[static_cast<size_t>(u.segment)],
+                        u.bin, jj);
+        send_frame(tp.rank_at(Task::kHardWeight, r), cy.cpi,
+                   SimEdge::kDopToHardWt, buf);
+      }
+    }
+    // Beamforming: the full slab for the destination's bins, reorganized
+    // to (bin, range, channel) — Fig. 8; the hard group gets both stagger
+    // halves (2J channels).
+    auto send_slab = [&](Task bf, const BlockPartition& part,
+                         const std::vector<index_t>& bin_list, index_t nch,
+                         SimEdge e) {
+      for (int r = 0; r < tp.count(bf); ++r) {
+        const auto bins = slice(bin_list, part, r);
+        std::vector<cfloat> buf;
+        buf.reserve(bins.size() * static_cast<size_t>(kl * nch));
+        for (const index_t bin : bins)
+          for (index_t k = 0; k < kl; ++k)
+            for (index_t ch = 0; ch < nch; ++ch)
+              buf.push_back(stag.at(k, ch, bin));
+        send_frame(tp.rank_at(bf, r), cy.cpi, e, buf);
+      }
+    };
+    send_slab(Task::kEasyBeamform, tp.part_ebf, s.easy_bins, j,
+              SimEdge::kDopToEasyBf);
+    send_slab(Task::kHardBeamform, tp.part_hbf, s.hard_bins, jj,
+              SimEdge::kDopToHardBf);
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Tasks 1/2: easy and hard weight computation
+// ---------------------------------------------------------------------------
+// The two weight computers behind one stage: the easy bins pool a training
+// history, the hard (bin, segment) units update a recursive R.
+void train(stap::EasyWeightComputer& wc, std::vector<MatrixCF>&& rows) {
+  wc.push_training(std::move(rows));
+}
+void train(stap::HardWeightComputer& wc, std::vector<MatrixCF>&& rows) {
+  wc.update(rows);
+}
+std::vector<MatrixCF> solve(const stap::EasyWeightComputer& wc) {
+  return wc.compute().weights;
+}
+std::vector<MatrixCF> solve(const stap::HardWeightComputer& wc) {
+  return wc.compute();
+}
+
+// The easy group partitions the easy bins, the hard group the bin-major
+// (bin, segment) units; an "item" is one of those. Weights solved from
+// CPI i serve the next visit of the same transmit position, i + positions
+// (TD_{1,3} / TD_{2,4}), so beamforming of CPI i never waits on them.
+template <typename Computer>
+struct WeightStage : StageBase {
+  static constexpr bool kHard =
+      std::is_same_v<Computer, stap::HardWeightComputer>;
+  static constexpr Task kTask = kHard ? Task::kHardWeight : Task::kEasyWeight;
+  static constexpr Task kBf =
+      kHard ? Task::kHardBeamform : Task::kEasyBeamform;
+  static constexpr SimEdge kIn =
+      kHard ? SimEdge::kDopToHardWt : SimEdge::kDopToEasyWt;
+  static constexpr SimEdge kOut =
+      kHard ? SimEdge::kHardWtToBf : SimEdge::kEasyWtToBf;
+
   // The weight and beamforming groups never migrate, so their partitions
-  // and rank lists are epoch-0 invariants; only the Doppler fan-in below is
-  // resolved per CPI.
-  const Topology& tp0 = s.topo(0);
-  const auto bins = slice(s.easy_bins, tp0.part_ewt, me);
+  // are epoch-0 invariants; only the Doppler fan-in is resolved per CPI.
+  const Topology& tp0;
+  const index_t positions, nch;
+  const index_t segs;  // items per beamforming bin
+  index_t i0 = 0, il = 0;  // owned item range
+  std::vector<const std::vector<index_t>*> cells;  // training cells per item
   // One computer per transmit position: training pools only same-azimuth
   // looks (paper §3).
-  std::vector<stap::EasyWeightComputer> computers;
-  for (index_t pos = 0; pos < positions; ++pos)
-    computers.emplace_back(p, s.steering[static_cast<size_t>(pos)],
-                           std::vector<index_t>(bins.begin(), bins.end()));
-  PhaseAcc acc;
-
-  // Each Doppler rank's contribution rows (cells of the global training
-  // list inside its slab); recomputed when a migration resizes the group.
+  std::vector<Computer> computers;
+  // Last good weights per transmit position: the stale-weights rung and
+  // the ABFT escalation resend them without a solve.
+  std::vector<std::optional<std::vector<MatrixCF>>> last;
+  // Each Doppler rank's rows of each item's training block; recomputed
+  // when a migration resizes the Doppler group.
   int rows_for_dops = -1;
-  std::vector<std::vector<index_t>> rows_from;
+  std::vector<std::vector<std::vector<index_t>>> rows_from;
+  std::vector<MatrixCF> training, w;
+  bool complete = false;  // this CPI's training block arrived whole
+  bool solved = false;    // `w` holds this CPI's verified solve
 
-  // Send the quiescent weights that beamform the first visit of each
-  // position (TD_{1,3} bootstrap).
-  auto send_weights = [&](const stap::WeightSet& w, index_t for_cpi) {
-    for (int r = 0; r < tp0.count(Task::kEasyBeamform); ++r) {
-      const index_t lo =
-          std::max(tp0.part_ewt.offset(me), tp0.part_ebf.offset(r));
+  WeightStage(Comm& c, Shared& s, int me, const Resume* resume)
+      : StageBase{c, s},
+        tp0(s.topo(0)),
+        positions(s.p.num_beam_positions),
+        nch(kHard ? s.p.num_staggered_channels() : s.p.num_channels),
+        segs(kHard ? s.p.num_segments : 1),
+        last(static_cast<size_t>(positions)) {
+    const BlockPartition& part = kHard ? tp0.part_hwu : tp0.part_ewt;
+    i0 = part.offset(me);
+    il = part.length(me);
+    const auto items = [&] {
+      if constexpr (kHard)
+        return slice(s.hard_units, part, me);
+      else
+        return slice(s.easy_bins, part, me);
+    }();
+    for (const auto& item : items) {
+      if constexpr (kHard)
+        cells.push_back(&s.hard_cells[static_cast<size_t>(item.segment)]);
+      else
+        cells.push_back(&s.easy_cells);
+    }
+    for (index_t pos = 0; pos < positions; ++pos)
+      computers.emplace_back(s.p, s.steering[static_cast<size_t>(pos)],
+                             std::vector(items.begin(), items.end()));
+    rows_from.resize(cells.size());
+    if (resume != nullptr) {
+      std::istringstream is(resume->blob);
+      for (auto& wc : computers) wc.restore(is);
+    } else {
+      // Quiescent weights beamform the first visit of each position.
+      for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
+        send_weights(solve(computers[static_cast<size_t>(pos)]), pos);
+      save_checkpoint(0);
+    }
+  }
+
+  bool recv(const Cycle& cy, FtRecv& ftr) {
+    const int dops = cy.tp.count(Task::kDopplerFilter);
+    if (dops != rows_for_dops) {
+      rows_for_dops = dops;
+      for (size_t i = 0; i < cells.size(); ++i) {
+        rows_from[i].assign(static_cast<size_t>(dops), {});
+        for (int d = 0; d < dops; ++d)
+          rows_from[i][static_cast<size_t>(d)] =
+              s.cell_positions_in_slab(*cells[i], d, cy.tp.part_k);
+      }
+    }
+    training.clear();
+    for (const auto* cl : cells)
+      training.emplace_back(static_cast<index_t>(cl->size()), nch);
+    complete = true;
+    for (int d = 0; d < dops; ++d) {
+      const int src = cy.tp.rank_at(Task::kDopplerFilter, d);
+      auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, kIn));
+      if (!buf) {
+        complete = false;
+        continue;
+      }
+      strip_digest(ftr, s, src, *buf, cy.cpi);
+      size_t off = 0;
+      for (size_t i = 0; i < cells.size(); ++i)
+        for (const index_t row : rows_from[i][static_cast<size_t>(d)]) {
+          PPSTAP_CHECK(off + static_cast<size_t>(nch) <= buf->size(),
+                       "short training message");
+          for (index_t ch = 0; ch < nch; ++ch)
+            training[i](row, ch) = (*buf)[off++];
+        }
+      PPSTAP_CHECK(off == buf->size(), "training message length");
+    }
+    // A shed training block skips the update, never the CPI: the previous
+    // weights still flow downstream so beamforming never starves (degraded
+    // adaptivity, not a stalled stream).
+    return true;
+  }
+
+  // Fold the training into the position's computer (a shed block leaves
+  // the forgetting state untouched; the frozen-hard rung arrives as a
+  // training marker), then solve — or, on the stale-weights rung, resend
+  // the position's last weights without solving.
+  bool prepare(const Cycle& cy) {
+    const auto pos = static_cast<size_t>(cy.cpi % positions);
+    if (complete) train(computers[pos], std::move(training));
+    solved = s.ctrl == nullptr ||
+             s.ctrl->level_for(cy.cpi) < DegradationLevel::kStaleWeights ||
+             !last[pos];
+    return solved;
+  }
+  void compute(const Cycle& cy, int attempt) {
+    w = solve(computers[static_cast<size_t>(cy.cpi % positions)]);
+    maybe_flip_weights(s, kTask, cy.cpi, c.rank(), attempt, w);
+  }
+  bool verify(const Cycle&) {
+    return weights_unit_norm(w, s.integ.tolerance);
+  }
+  // An escalated solve falls back to the position's last good weights, or
+  // — with nothing trustworthy yet — to markers, so beamforming sheds.
+  bool recover(const Cycle&) {
+    solved = false;
+    return true;
+  }
+  void send(const Cycle& cy) {
+    auto& cache = last[static_cast<size_t>(cy.cpi % positions)];
+    if (solved) cache = std::move(w);
+    if (cache)
+      send_weights(*cache, cy.cpi + positions);
+    else
+      send_markers(cy, kOut);
+    save_checkpoint(cy.cpi + 1);
+  }
+  void finish() {
+    std::lock_guard<std::mutex> lock(s.mu);
+    for (const auto& wc : computers) s.numerics += wc.health();
+  }
+
+  // The owned items each beamforming rank needs (it owns `segs` items per
+  // bin), for consumer CPI `for_cpi`.
+  void send_weights(const std::vector<MatrixCF>& ws, index_t for_cpi) {
+    if (for_cpi >= s.n_cpis) return;
+    const BlockPartition& bf = kHard ? tp0.part_hbf : tp0.part_ebf;
+    for (int r = 0; r < tp0.count(kBf); ++r) {
+      const index_t lo = std::max(i0, bf.offset(r) * segs);
       const index_t hi =
-          std::min(tp0.part_ewt.offset(me) + tp0.part_ewt.length(me),
-                   tp0.part_ebf.offset(r) + tp0.part_ebf.length(r));
+          std::min(i0 + il, (bf.offset(r) + bf.length(r)) * segs);
       std::vector<cfloat> buf;
-      for (index_t pos = lo; pos < hi; ++pos) {
-        const auto& wm =
-            w.weights[static_cast<size_t>(pos - tp0.part_ewt.offset(me))];
+      for (index_t i = lo; i < hi; ++i) {
+        const auto& wm = ws[static_cast<size_t>(i - i0)];
         buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
       }
-      send_cf(c, s, tp0.rank_at(Task::kEasyBeamform, r), for_cpi,
-              kEasyWtToBf, buf, s.measured(for_cpi), acc);
+      send_frame(tp0.rank_at(kBf, r), for_cpi, kOut, buf);
     }
-  };
-  // Checkpoint the computers' state after every CPI so a spare can resume
-  // at exactly the next CPI (keyed by the global rank the spare assumes).
-  auto save_ckpt = [&](index_t next_cpi) {
-    if (s.ft.spare_count() == 0) return;
+  }
+
+  // Checkpoint the computers after every CPI so a spare can resume at
+  // exactly `next_cpi` (keyed by the global rank the spare assumes).
+  void save_checkpoint(index_t next_cpi) {
+    if (s.ft.spares == 0) return;
     std::ostringstream os;
-    for (const auto& comp : computers) comp.save(os);
+    for (const auto& wc : computers) wc.save(os);
     std::lock_guard<std::mutex> lock(s.mu);
     auto& ck = s.checkpoints[c.rank()];
     ck.next_cpi = next_cpi;
     ck.blob = os.str();
-  };
-
-  index_t start_cpi = 0;
-  if (resume) {
-    std::istringstream is(resume->blob);
-    for (auto& comp : computers) comp.restore(is);
-    start_cpi = resume->cpi;
-    if (resume->restored) resume->restored(start_cpi);
-  } else {
-    for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
-      send_weights(computers[static_cast<size_t>(pos)].compute(), pos);
-    save_ckpt(0);
   }
-
-  FtRecv ftr = make_ftr(c, s);
-  // Last solved weights per transmit position: the stale-weights rung
-  // resends them without paying for a solve.
-  std::vector<std::optional<stap::WeightSet>> last_w(
-      static_cast<size_t>(positions));
-  const index_t total_cells = static_cast<index_t>(s.easy_cells.size());
-  for (index_t cpi = start_cpi; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-
-    if (tp.count(Task::kDopplerFilter) != rows_for_dops) {
-      rows_for_dops = tp.count(Task::kDopplerFilter);
-      rows_from.assign(static_cast<size_t>(rows_for_dops), {});
-      for (int d = 0; d < rows_for_dops; ++d)
-        rows_from[static_cast<size_t>(d)] =
-            s.cell_positions_in_slab(s.easy_cells, d, tp.part_k);
-    }
-
-    bool complete = true;
-    std::vector<MatrixCF> training(bins.size(), MatrixCF(total_cells, j));
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, kDopToEasyWt));
-      if (!bufo) {
-        complete = false;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      for (size_t bi = 0; bi < bins.size(); ++bi)
-        for (index_t row : rows_from[static_cast<size_t>(d)]) {
-          PPSTAP_CHECK(off + static_cast<size_t>(j) <= buf.size(),
-                       "short easy training message");
-          for (index_t ch = 0; ch < j; ++ch)
-            training[bi](row, ch) = buf[off++];
-        }
-      PPSTAP_CHECK(off == buf.size(), "easy training message length");
-    }
-    const double t1 = WallTimer::now();
-
-    // A shed CPI skips the training update; the previous weights still
-    // flow downstream so beamforming never starves (degraded adaptivity,
-    // not a stalled stream).
-    auto& computer = computers[static_cast<size_t>(cpi % positions)];
-    if (complete) computer.push_training(std::move(training));
-    auto& cache = last_w[static_cast<size_t>(cpi % positions)];
-    stap::WeightSet w;
-    bool wt_markers = false;
-    if (s.ctrl != nullptr &&
-        s.ctrl->level_for(cpi) >= DegradationLevel::kStaleWeights && cache) {
-      w = *cache;  // stale rung: resend without solving
-    } else {
-      const bool wok = run_checked(
-          c, s, Task::kEasyWeight, cpi,
-          [&](int attempt) {
-            w = computer.compute();
-            maybe_flip_weights(s, Task::kEasyWeight, cpi, c.rank(), attempt,
-                               w.weights);
-          },
-          [&] { return weights_unit_norm(w.weights, s.integ.tolerance); });
-      if (wok)
-        cache = w;
-      else if (cache)
-        w = *cache;  // escalate into the stale-weight fallback
-      else
-        wt_markers = true;  // nothing trustworthy yet: let BF shed
-    }
-    const double t2 = WallTimer::now();
-
-    // These weights serve the *next visit* of the same transmit position.
-    if (cpi + positions < s.n_cpis) {
-      if (wt_markers)
-        for (int r = 0; r < tp0.count(Task::kEasyBeamform); ++r)
-          c.send_marker(tp0.rank_at(Task::kEasyBeamform, r),
-                        tag_for(cpi + positions, kEasyWtToBf));
-      else
-        send_weights(w, cpi + positions);
-    }
-    save_ckpt(cpi + 1);
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kEasyWeight, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kEasyWeight, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& comp : computers) s.numerics += comp.health();
-  }
-  acc.commit(s, Task::kEasyWeight, s.measured_count());
-}
-
-// ---------------------------------------------------------------------------
-// Task 2: hard weight computation (partitioned over (bin, segment) units)
-// ---------------------------------------------------------------------------
-void run_hard_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
-  const auto& p = s.p;
-  const index_t jj = p.num_staggered_channels();
-  const index_t positions = p.num_beam_positions;
-  // Weight/BF groups never migrate: epoch-0 partitions are invariant here.
-  const Topology& tp0 = s.topo(0);
-  const auto units = slice(s.hard_units, tp0.part_hwu, me);
-  std::vector<stap::HardWeightComputer> computers;
-  for (index_t pos = 0; pos < positions; ++pos)
-    computers.emplace_back(
-        p, s.steering[static_cast<size_t>(pos)],
-        std::vector<stap::HardUnit>(units.begin(), units.end()));
-  PhaseAcc acc;
-
-  // Row positions per (unit, doppler rank); recomputed when a migration
-  // resizes the Doppler group.
-  int rows_for_dops = -1;
-  std::vector<std::vector<std::vector<index_t>>> rows_from(units.size());
-
-  const index_t u_base = tp0.part_hwu.offset(me);
-  auto send_weights = [&](const std::vector<MatrixCF>& w, index_t for_cpi) {
-    for (int r = 0; r < tp0.count(Task::kHardBeamform); ++r) {
-      // Hard BF rank r owns bin positions [b0, b0+bl) — i.e. unit
-      // positions [b0*S, (b0+bl)*S) in the bin-major unit list.
-      const index_t segs = p.num_segments;
-      const index_t r_lo = tp0.part_hbf.offset(r) * segs;
-      const index_t r_hi = r_lo + tp0.part_hbf.length(r) * segs;
-      const index_t lo = std::max(u_base, r_lo);
-      const index_t hi = std::min(u_base + tp0.part_hwu.length(me), r_hi);
-      std::vector<cfloat> buf;
-      for (index_t pos = lo; pos < hi; ++pos) {
-        const auto& wm = w[static_cast<size_t>(pos - u_base)];
-        buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
-      }
-      send_cf(c, s, tp0.rank_at(Task::kHardBeamform, r), for_cpi,
-              kHardWtToBf, buf, s.measured(for_cpi), acc);
-    }
-  };
-  auto save_ckpt = [&](index_t next_cpi) {
-    if (s.ft.spare_count() == 0) return;
-    std::ostringstream os;
-    for (const auto& comp : computers) comp.save(os);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& ck = s.checkpoints[c.rank()];
-    ck.next_cpi = next_cpi;
-    ck.blob = os.str();
-  };
-
-  index_t start_cpi = 0;
-  if (resume) {
-    std::istringstream is(resume->blob);
-    for (auto& comp : computers) comp.restore(is);
-    start_cpi = resume->cpi;
-    if (resume->restored) resume->restored(start_cpi);
-  } else {
-    for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
-      send_weights(computers[static_cast<size_t>(pos)].compute(), pos);
-    save_ckpt(0);
-  }
-
-  FtRecv ftr = make_ftr(c, s);
-  // Last solved weights per transmit position (stale-weights rung).
-  std::vector<std::optional<std::vector<MatrixCF>>> last_w(
-      static_cast<size_t>(positions));
-  for (index_t cpi = start_cpi; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-
-    if (tp.count(Task::kDopplerFilter) != rows_for_dops) {
-      rows_for_dops = tp.count(Task::kDopplerFilter);
-      for (size_t ui = 0; ui < units.size(); ++ui) {
-        rows_from[ui].assign(static_cast<size_t>(rows_for_dops), {});
-        for (int d = 0; d < rows_for_dops; ++d)
-          rows_from[ui][static_cast<size_t>(d)] = s.cell_positions_in_slab(
-              s.hard_cells[static_cast<size_t>(units[ui].segment)], d,
-              tp.part_k);
-      }
-    }
-
-    bool complete = true;
-    std::vector<MatrixCF> training;
-    training.reserve(units.size());
-    for (size_t ui = 0; ui < units.size(); ++ui)
-      training.emplace_back(
-          static_cast<index_t>(p.hard_samples_per_segment), jj);
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, kDopToHardWt));
-      if (!bufo) {
-        complete = false;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      for (size_t ui = 0; ui < units.size(); ++ui)
-        for (index_t row : rows_from[ui][static_cast<size_t>(d)]) {
-          PPSTAP_CHECK(off + static_cast<size_t>(jj) <= buf.size(),
-                       "short hard training message");
-          for (index_t ch = 0; ch < jj; ++ch)
-            training[ui](row, ch) = buf[off++];
-        }
-      PPSTAP_CHECK(off == buf.size(), "hard training message length");
-    }
-    const double t1 = WallTimer::now();
-
-    // A shed CPI skips the recursive update (forgetting state untouched);
-    // the current weights still flow downstream. (The frozen-hard rung
-    // arrives here as a training marker: update skipped, solve kept.)
-    auto& computer = computers[static_cast<size_t>(cpi % positions)];
-    if (complete) computer.update(training);
-    auto& cache = last_w[static_cast<size_t>(cpi % positions)];
-    std::vector<MatrixCF> w;
-    bool wt_markers = false;
-    if (s.ctrl != nullptr &&
-        s.ctrl->level_for(cpi) >= DegradationLevel::kStaleWeights && cache) {
-      w = *cache;  // stale rung: resend without solving
-    } else {
-      const bool wok = run_checked(
-          c, s, Task::kHardWeight, cpi,
-          [&](int attempt) {
-            w = computer.compute();
-            maybe_flip_weights(s, Task::kHardWeight, cpi, c.rank(), attempt,
-                               w);
-          },
-          [&] { return weights_unit_norm(w, s.integ.tolerance); });
-      if (wok)
-        cache = w;
-      else if (cache)
-        w = *cache;  // escalate into the stale-weight fallback
-      else
-        wt_markers = true;  // nothing trustworthy yet: let BF shed
-    }
-    const double t2 = WallTimer::now();
-
-    // These weights serve the *next visit* of the same transmit position.
-    if (cpi + positions < s.n_cpis) {
-      if (wt_markers)
-        for (int r = 0; r < tp0.count(Task::kHardBeamform); ++r)
-          c.send_marker(tp0.rank_at(Task::kHardBeamform, r),
-                        tag_for(cpi + positions, kHardWtToBf));
-      else
-        send_weights(w, cpi + positions);
-    }
-    save_ckpt(cpi + 1);
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kHardWeight, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kHardWeight, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& comp : computers) s.numerics += comp.health();
-  }
-  acc.commit(s, Task::kHardWeight, s.measured_count());
-}
+};
 
 // ---------------------------------------------------------------------------
 // Tasks 3/4: beamforming (partitioned along easy/hard bins)
 // ---------------------------------------------------------------------------
-// `begin` > 0 resumes mid-stream: a spare that assumed a dead beamforming
-// rank's identity re-enters here at the CPI the dead rank was processing
-// (its weight cache starts cold, so an in-flight CPI whose weights were
-// already consumed falls back to the shed path rather than wedging).
-void run_beamform(Comm& c, Shared& s, int me, bool hard, index_t begin = 0) {
-  const auto& p = s.p;
-  const Task task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
-  const Task wt_task = hard ? Task::kHardWeight : Task::kEasyWeight;
-  const Edge data_edge = hard ? kDopToHardBf : kDopToEasyBf;
-  const Edge wt_edge = hard ? kHardWtToBf : kEasyWtToBf;
-  const Edge out_edge = hard ? kHardBfToPc : kEasyBfToPc;
+// A spare resuming mid-stream starts with a cold weight cache, so an
+// in-flight CPI whose weights were already consumed falls back to the shed
+// path rather than wedging.
+struct BeamformStage : StageBase {
+  const bool hard;
   // Weight/BF groups never migrate: epoch-0 partitions are invariant here;
   // the Doppler fan-in and PC fan-out are resolved per CPI.
-  const Topology& tp0 = s.topo(0);
-  const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
-  const BlockPartition& wpart = hard ? tp0.part_hwu : tp0.part_ewt;
-  const std::vector<index_t>& bin_list = hard ? s.hard_bins : s.easy_bins;
-  const index_t nch = hard ? p.num_staggered_channels() : p.num_channels;
-  const index_t k = p.num_range;
-  const index_t m = p.num_beams;
-  const index_t segs = hard ? p.num_segments : 1;
-
-  const auto bins = slice(bin_list, part, me);
-  const index_t b0 = part.offset(me);
-  const index_t bl = part.length(me);
-  const index_t positions = p.num_beam_positions;
+  const Topology& tp0;
+  const BlockPartition& part;
+  const std::span<const index_t> bins;
+  const index_t b0, bl, nch;  // owned bin positions [b0, b0 + bl)
+  const index_t segs;  // weight items per bin
+  index_t active = 0;  // beams formed this CPI
   // Stale-weight fallback (shedding only): the last complete weight set
   // received for each transmit position.
-  std::vector<std::optional<stap::WeightSet>> wcache(
-      static_cast<size_t>(positions));
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
+  std::vector<std::optional<stap::WeightSet>> wcache;
+  stap::WeightSet w;
+  cube::CpiCube data, out;
 
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
+  BeamformStage(Comm& c, Shared& s, int me, bool hard_in)
+      : StageBase{c, s},
+        hard(hard_in),
+        tp0(s.topo(0)),
+        part(hard ? tp0.part_hbf : tp0.part_ebf),
+        bins(slice(hard ? s.hard_bins : s.easy_bins, part, me)),
+        b0(part.offset(me)),
+        bl(part.length(me)),
+        nch(hard ? s.p.num_staggered_channels() : s.p.num_channels),
+        segs(hard ? s.p.num_segments : 1),
+        wcache(static_cast<size_t>(s.p.num_beam_positions)) {}
+
+  bool recv(const Cycle& cy, FtRecv& ftr) {
+    data = cube::CpiCube();
+    out = cube::CpiCube();
     bool shed = false;
-
-    // Weights for this CPI (sent by the weight task while processing the
-    // previous CPI — the temporal dependency).
-    stap::WeightSet w;
+    // Weights for this CPI, sent by the weight task while it processed the
+    // previous visit of this transmit position (the temporal dependency).
+    const Task wt_task = hard ? Task::kHardWeight : Task::kEasyWeight;
+    const BlockPartition& wpart = hard ? tp0.part_hwu : tp0.part_ewt;
+    const index_t m = s.p.num_beams;
     w.bins.assign(bins.begin(), bins.end());
     w.weights.assign(static_cast<size_t>(bl * segs), MatrixCF());
     bool weights_complete = true;
     for (int r = 0; r < tp0.count(wt_task); ++r) {
       const int src = tp0.rank_at(wt_task, r);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, wt_edge));
-      if (!bufo) {
+      auto buf = ftr.recv<cfloat>(
+          src, tag_for(cy.cpi,
+                       hard ? SimEdge::kHardWtToBf : SimEdge::kEasyWtToBf));
+      if (!buf) {
         weights_complete = false;
         continue;
       }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
+      strip_digest(ftr, s, src, *buf, cy.cpi);
       size_t off = 0;
-      const index_t my_lo = b0 * segs;
-      const index_t my_hi = (b0 + bl) * segs;
-      const index_t lo = std::max(wpart.offset(r), my_lo);
-      const index_t hi = std::min(wpart.offset(r) + wpart.length(r), my_hi);
+      const index_t lo = std::max(wpart.offset(r), b0 * segs);
+      const index_t hi =
+          std::min(wpart.offset(r) + wpart.length(r), (b0 + bl) * segs);
       for (index_t pos = lo; pos < hi; ++pos) {
         MatrixCF wm(nch, m);
-        PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf.size(),
+        PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf->size(),
                      "short weight message");
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
+        std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
                     static_cast<size_t>(wm.size()), wm.data());
         off += static_cast<size_t>(wm.size());
-        w.weights[static_cast<size_t>(pos - my_lo)] = std::move(wm);
+        w.weights[static_cast<size_t>(pos - b0 * segs)] = std::move(wm);
       }
-      PPSTAP_CHECK(off == buf.size(), "weight message length");
+      PPSTAP_CHECK(off == buf->size(), "weight message length");
     }
     if (ftr.active) {
-      auto& cache = wcache[static_cast<size_t>(cpi % positions)];
+      auto& cache =
+          wcache[static_cast<size_t>(cy.cpi % s.p.num_beam_positions)];
       if (weights_complete)
         cache = w;  // refresh the fallback for this position
       else if (cache)
@@ -1208,84 +1158,55 @@ void run_beamform(Comm& c, Shared& s, int me, bool hard, index_t begin = 0) {
 
     // Doppler data, reassembled into the bin-major (bin, range, channel)
     // cube of Fig. 8.
-    cube::CpiCube data(bl, k, nch);
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, data_edge));
-      if (!bufo) {
+    data = cube::CpiCube(bl, s.p.num_range, nch);
+    const SimEdge e = hard ? SimEdge::kDopToHardBf : SimEdge::kDopToEasyBf;
+    for (int d = 0; d < cy.tp.count(Task::kDopplerFilter); ++d) {
+      const int src = cy.tp.rank_at(Task::kDopplerFilter, d);
+      auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, e));
+      if (!buf) {
         shed = true;
         continue;
       }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      const index_t dk0 = tp.part_k.offset(d);
-      const index_t dkl = tp.part_k.length(d);
-      PPSTAP_CHECK(static_cast<index_t>(buf.size()) == bl * dkl * nch,
+      strip_digest(ftr, s, src, *buf, cy.cpi);
+      const index_t dk0 = cy.tp.part_k.offset(d);
+      const index_t dkl = cy.tp.part_k.length(d);
+      PPSTAP_CHECK(static_cast<index_t>(buf->size()) == bl * dkl * nch,
                    "doppler data message length");
       size_t off = 0;
       for (index_t b = 0; b < bl; ++b)
         for (index_t kk = 0; kk < dkl; ++kk) {
-          std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
+          std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
                       static_cast<size_t>(nch),
                       data.line(b, dk0 + kk).begin());
           off += static_cast<size_t>(nch);
         }
     }
-    const double t1 = WallTimer::now();
+    return !shed;
+  }
 
-    if (shed) {
-      // CPI i cannot be produced within the budget: propagate the dropped
-      // marker downstream so the stream keeps moving.
-      for (int r = 0; r < tp.count(Task::kPulseCompression); ++r)
-        c.send_marker(tp.rank_at(Task::kPulseCompression, r),
-                      tag_for(cpi, out_edge));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), task, cpi, t0, t1, t1, t3, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.send += t3 - t1;
-      }
-      continue;
-    }
+  // The reduced-beams rungs shrink the beamform work; skipped beams stay
+  // zero in the output cube, so CFAR simply reports nothing there.
+  void compute(const Cycle& cy, int attempt) {
+    const auto& p = s.p;
+    active = s.ctrl != nullptr
+                 ? active_beams_for(s.ctrl->level_for(cy.cpi), p.num_beams)
+                 : p.num_beams;
+    out = hard ? stap::hard_beamform(data, w, p, active)
+               : stap::easy_beamform(data, w, p, active);
+    maybe_flip(s, hard ? Task::kHardBeamform : Task::kEasyBeamform, cy.cpi,
+               c.rank(), attempt, float_view(out));
+  }
+  bool verify(const Cycle&) {
+    return hard ? stap::hard_beamform_check(data, w, s.p, out, active,
+                                            s.integ.tolerance)
+                : stap::easy_beamform_check(data, w, s.p, out, active,
+                                            s.integ.tolerance);
+  }
 
-    // The reduced-beams rungs shrink the beamform work; skipped beams stay
-    // zero in the output cube, so CFAR simply reports nothing there.
-    const index_t active =
-        s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(cpi), m) : m;
-    cube::CpiCube out;
-    const bool ok = run_checked(
-        c, s, task, cpi,
-        [&](int attempt) {
-          out = hard ? stap::hard_beamform(data, w, p, active)
-                     : stap::easy_beamform(data, w, p, active);
-          maybe_flip(s, task, cpi, c.rank(), attempt, float_view(out));
-        },
-        [&] {
-          return hard ? stap::hard_beamform_check(data, w, p, out, active,
-                                                  s.integ.tolerance)
-                      : stap::easy_beamform_check(data, w, p, out, active,
-                                                  s.integ.tolerance);
-        });
-    const double t2 = WallTimer::now();
-
-    if (!ok) {
-      // Persistent corruption in the beamformed cube: escalate through the
-      // existing shed path so downstream keeps moving.
-      for (int r = 0; r < tp.count(Task::kPulseCompression); ++r)
-        c.send_marker(tp.rank_at(Task::kPulseCompression, r),
-                      tag_for(cpi, out_edge));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), task, cpi, t0, t1, t2, t3e, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
-    // Route each bin's M x K block to the pulse compression owner of its
-    // *global* Doppler bin.
+  // Route each bin's M x K block to the pulse-compression owner of its
+  // *global* Doppler bin.
+  void send(const Cycle& cy) {
+    const Topology& tp = cy.tp;
     for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
       const index_t g0 = tp.part_pc.offset(r);
       const index_t g1 = g0 + tp.part_pc.length(r);
@@ -1293,397 +1214,211 @@ void run_beamform(Comm& c, Shared& s, int me, bool hard, index_t begin = 0) {
       for (index_t b = 0; b < bl; ++b) {
         const index_t gbin = bins[static_cast<size_t>(b)];
         if (gbin < g0 || gbin >= g1) continue;
-        for (index_t mm = 0; mm < m; ++mm) {
+        for (index_t mm = 0; mm < s.p.num_beams; ++mm) {
           auto line = out.line(b, mm);
           buf.insert(buf.end(), line.begin(), line.end());
         }
       }
-      send_cf(c, s, tp.rank_at(Task::kPulseCompression, r), cpi, out_edge,
-              buf, meas, acc);
-    }
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), task, cpi, t0, t1, t2, t3, acc.bytes - bytes0);
-    observe_health(c, s, task, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
+      send_frame(tp.rank_at(Task::kPulseCompression, r), cy.cpi,
+                 hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc, buf);
     }
   }
-  acc.commit(s, task, s.measured_count());
-}
+};
 
 // ---------------------------------------------------------------------------
 // Task 5: pulse compression (partitioned along all Doppler bins)
 // ---------------------------------------------------------------------------
-// Like run_doppler, returns the first CPI this rank did not process as a
-// pulse-compression rank (s.n_cpis when it ran to the end).
-index_t run_pc(Comm& c, Shared& s, index_t begin) {
-  const auto& p = s.p;
-  const index_t m = p.num_beams;
-  const index_t k = p.num_range;
+struct PulseCompressionStage : StageBase {
   // The beamforming groups never migrate: their partitions and rank lists
   // are epoch-0 invariants. This rank's own bin span is per CPI.
-  const Topology& tp0 = s.topo(0);
-  stap::PulseCompressor compressor(p, s.replica);
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
+  const Topology& tp0;
+  stap::PulseCompressor compressor;
+  index_t g0 = 0, gl = 0;  // owned global bins [g0, g0 + gl)
+  index_t active = 0;      // beams formed this CPI
+  cube::CpiCube bf;
+  cube::RealCube power;
+  std::vector<double> row_energy;
 
-  auto recv_from_bf = [&](index_t cpi, bool hard, bool& shed, index_t g0,
-                          index_t gl) {
-    const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
-    const Edge edge = hard ? kHardBfToPc : kEasyBfToPc;
-    const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
-    const std::vector<index_t>& bin_list = hard ? s.hard_bins : s.easy_bins;
-    std::vector<std::pair<index_t, std::vector<cfloat>>> rows;
-    for (int r = 0; r < tp0.count(bf_task); ++r) {
-      const int src = tp0.rank_at(bf_task, r);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, edge));
-      if (!bufo) {
-        shed = true;
-        continue;
+  PulseCompressionStage(Comm& c, Shared& s)
+      : StageBase{c, s}, tp0(s.topo(0)), compressor(s.p, s.replica) {}
+
+  // Both beamforming groups' frames, unpacked straight into this rank's
+  // (bin, beam, range) cube.
+  bool recv(const Cycle& cy, FtRecv& ftr) {
+    bf = cube::CpiCube();
+    power = cube::RealCube();
+    const auto mk = static_cast<size_t>(s.p.num_beams * s.p.num_range);
+    g0 = cy.tp.part_pc.offset(cy.me);
+    gl = cy.tp.part_pc.length(cy.me);
+    bf = cube::CpiCube(gl, s.p.num_beams, s.p.num_range);
+    bool complete = true;
+    for (const bool hard : {false, true}) {
+      const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+      const SimEdge e = hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc;
+      const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
+      for (int r = 0; r < tp0.count(bf_task); ++r) {
+        const int src = tp0.rank_at(bf_task, r);
+        auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, e));
+        if (!buf) {
+          complete = false;
+          continue;
+        }
+        strip_digest(ftr, s, src, *buf, cy.cpi);
+        size_t off = 0;
+        for (const index_t gbin :
+             slice(hard ? s.hard_bins : s.easy_bins, part, r)) {
+          if (gbin < g0 || gbin >= g0 + gl) continue;
+          PPSTAP_CHECK(off + mk <= buf->size(), "short beamformed message");
+          std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off), mk,
+                      &bf.at(gbin - g0, 0, 0));
+          off += mk;
+        }
+        PPSTAP_CHECK(off == buf->size(), "beamformed message length");
       }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      const auto bins = slice(bin_list, part, r);
-      for (index_t gbin : bins) {
-        if (gbin < g0 || gbin >= g0 + gl) continue;
-        std::vector<cfloat> row(static_cast<size_t>(m * k));
-        PPSTAP_CHECK(off + row.size() <= buf.size(),
-                     "short beamformed message");
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                    row.size(), row.begin());
-        off += row.size();
-        rows.emplace_back(gbin, std::move(row));
-      }
-      PPSTAP_CHECK(off == buf.size(), "beamformed message length");
     }
-    return rows;
-  };
+    return complete;
+  }
 
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kPulseCompression) {
-      next = cpi;
-      break;
-    }
-    const index_t g0 = tp.part_pc.offset(role.local);
-    const index_t gl = tp.part_pc.length(role.local);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
+  void compute(const Cycle& cy, int attempt) {
+    const index_t m = s.p.num_beams;
+    active = s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(cy.cpi), m)
+                               : m;
+    power = compressor.compress(bf, active,
+                                s.integ.enabled ? &row_energy : nullptr);
+    maybe_flip(s, Task::kPulseCompression, cy.cpi, c.rank(), attempt,
+               float_view(power));
+  }
+  bool verify(const Cycle&) {
+    return stap::pc_energy_check(power, row_energy, active,
+                                 s.integ.tolerance);
+  }
 
-    cube::CpiCube bf(gl, m, k);
-    bool shed = false;
-    for (bool hard : {false, true})
-      for (auto& [gbin, row] : recv_from_bf(cpi, hard, shed, g0, gl)) {
-        cfloat* dst = &bf.at(gbin - g0, 0, 0);
-        std::copy(row.begin(), row.end(), dst);
-      }
-    const double t1 = WallTimer::now();
-
-    if (shed) {
-      for (int r = 0; r < tp.count(Task::kCfar); ++r)
-        c.send_marker(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t1,
-                       t3, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.send += t3 - t1;
-      }
-      continue;
-    }
-
-    const index_t active =
-        s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(cpi), m) : m;
-    cube::RealCube power;
-    std::vector<double> row_energy;
-    const bool ok = run_checked(
-        c, s, Task::kPulseCompression, cpi,
-        [&](int attempt) {
-          power = compressor.compress(bf, active,
-                                      s.integ.enabled ? &row_energy : nullptr);
-          maybe_flip(s, Task::kPulseCompression, cpi, c.rank(), attempt,
-                     float_view(power));
-        },
-        [&] {
-          return stap::pc_energy_check(power, row_energy, active,
-                                       s.integ.tolerance);
-        });
-    const double t2 = WallTimer::now();
-
-    if (!ok) {
-      for (int r = 0; r < tp.count(Task::kCfar); ++r)
-        c.send_marker(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t2,
-                       t3e, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
+  void send(const Cycle& cy) {
+    const Topology& tp = cy.tp;
+    const index_t mk = s.p.num_beams * s.p.num_range;
     for (int r = 0; r < tp.count(Task::kCfar); ++r) {
       const index_t c0 = tp.part_cfar.offset(r);
-      const index_t c1 = c0 + tp.part_cfar.length(r);
       const index_t lo = std::max(g0, c0);
-      const index_t hi = std::min(g0 + gl, c1);
+      const index_t hi = std::min(g0 + gl, c0 + tp.part_cfar.length(r));
       std::vector<float> buf;
       for (index_t bin = lo; bin < hi; ++bin) {
         const float* src = &power.at(bin - g0, 0, 0);
-        buf.insert(buf.end(), src, src + m * k);
+        buf.insert(buf.end(), src, src + mk);
       }
-      const std::uint64_t n = buf.size() * sizeof(float);
-      if (s.integ.enabled) append_digest(buf);
-      comm::FlowContext fc;
-      const comm::FlowContext* flow = nullptr;
-      if (obs::tracing_enabled()) {
-        fc = flow_for(cpi, kPcToCfar);
-        flow = &fc;
-      }
-      c.send<float>(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar), buf,
-                    flow);
-      if (meas) {
-        acc.bytes += n;
-        s.edge_bytes[static_cast<size_t>(kPcToCfar)].fetch_add(
-            n, std::memory_order_relaxed);
-      }
-    }
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kPulseCompression, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
+      send_frame(tp.rank_at(Task::kCfar, r), cy.cpi, SimEdge::kPcToCfar, buf);
     }
   }
-  acc.commit(s, Task::kPulseCompression, s.measured_count());
-  return next;
-}
+};
 
 // ---------------------------------------------------------------------------
 // Task 6: CFAR (partitioned along all Doppler bins); pipeline sink
 // ---------------------------------------------------------------------------
-// Like run_doppler, returns the first CPI this rank did not process as a
-// CFAR rank (s.n_cpis when it ran to the end).
-index_t run_cfar(Comm& c, Shared& s, index_t begin) {
-  const auto& p = s.p;
-  const index_t m = p.num_beams;
-  const index_t k = p.num_range;
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
+struct CfarStage : StageBase {
+  index_t c0 = 0, cl = 0;  // owned global bins [c0, c0 + cl)
+  std::vector<index_t> my_bins;
+  cube::RealCube power;
+  std::vector<stap::Detection> dets;
 
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kCfar) {
-      next = cpi;
-      break;
-    }
-    const index_t c0 = tp.part_cfar.offset(role.local);
-    const index_t cl = tp.part_cfar.length(role.local);
-    std::vector<index_t> my_bins(static_cast<size_t>(cl));
+  CfarStage(Comm& c, Shared& s) : StageBase{c, s} {}
+
+  bool recv(const Cycle& cy, FtRecv& ftr) {
+    const Topology& tp = cy.tp;
+    const index_t mk = s.p.num_beams * s.p.num_range;
+    c0 = tp.part_cfar.offset(cy.me);
+    cl = tp.part_cfar.length(cy.me);
+    power = cube::RealCube();
+    my_bins.resize(static_cast<size_t>(cl));
     for (index_t i = 0; i < cl; ++i) my_bins[static_cast<size_t>(i)] = c0 + i;
-    const bool meas = s.measured(cpi);
-    const double t0 = WallTimer::now();
-    ftr.begin();
-    bool shed = false;
-
-    cube::RealCube power(cl, m, k);
+    power = cube::RealCube(cl, s.p.num_beams, s.p.num_range);
+    dets.clear();
+    bool complete = true;
     for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
       const index_t g0 = tp.part_pc.offset(r);
-      const index_t g1 = g0 + tp.part_pc.length(r);
       const index_t lo = std::max(c0, g0);
-      const index_t hi = std::min(c0 + cl, g1);
+      const index_t hi = std::min(c0 + cl, g0 + tp.part_pc.length(r));
       const int src = tp.rank_at(Task::kPulseCompression, r);
-      auto bufo = ftr.recv<float>(src, tag_for(cpi, kPcToCfar));
-      if (!bufo) {
-        shed = true;
+      auto buf = ftr.recv<float>(src, tag_for(cy.cpi, SimEdge::kPcToCfar));
+      if (!buf) {
+        complete = false;
         continue;
       }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      PPSTAP_CHECK(static_cast<index_t>(buf.size()) ==
-                       std::max<index_t>(0, hi - lo) * m * k,
+      strip_digest(ftr, s, src, *buf, cy.cpi);
+      PPSTAP_CHECK(static_cast<index_t>(buf->size()) ==
+                       std::max<index_t>(0, hi - lo) * mk,
                    "power message length");
       size_t off = 0;
       for (index_t bin = lo; bin < hi; ++bin) {
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                    static_cast<size_t>(m * k), &power.at(bin - c0, 0, 0));
-        off += static_cast<size_t>(m * k);
+        std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+                    static_cast<size_t>(mk), &power.at(bin - c0, 0, 0));
+        off += static_cast<size_t>(mk);
       }
     }
-    const double t1 = WallTimer::now();
-
-    // A shed CPI reports no detections — the sink records the drop in the
-    // ledger instead of stalling the stream on incomplete power data.
-    std::vector<stap::Detection> dets;
-    if (!shed) {
-      const bool ok = run_checked(
-          c, s, Task::kCfar, cpi,
-          [&](int attempt) {
-            dets = stap::cfar_detect(power, my_bins, p);
-            maybe_flip_detections(s, cpi, c.rank(), attempt, dets);
-          },
-          [&] { return stap::verify_detections(dets, power, my_bins, p); });
-      if (!ok) {
-        // Persistently corrupt report: suppress it and ledger the CPI as
-        // shed rather than publish wrong detections.
-        dets.clear();
-        shed = true;
-      }
-    }
-    const double t2 = WallTimer::now();
-
-    bool cpi_done = false;
-    bool cpi_shed = false;
-    double latency = 0.0;
-    std::vector<index_t> retro;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      // Quorum completion: a permanently dead CFAR peer will never tick, so
-      // the CPI completes on the live members alone — and must shed, since
-      // the corpse's range slice is missing from the report. Post-shrink
-      // epochs drop the corpse from the group, so live == group and
-      // coverage is whole again. While the peer is merely dead-recoverable
-      // (a pool spare will revive it and deliver its ticks) the full group
-      // count stands.
-      const int group = tp.count(Task::kCfar);
-      int live = 0;
-      for (int r = 0; r < group; ++r)
-        live += s.eng->rank_permanently_dead(tp.rank_at(Task::kCfar, r))
-                    ? 0
-                    : 1;
-      if (live < group) {
-        shed = true;
-        dets.clear();
-        // Sweep CPIs this rank already ticked at full group strength whose
-        // last tick died with the peer: complete them as shed now, or the
-        // admission backlog pins on completions that can never come.
-        for (index_t j = 0; j < cpi; ++j) {
-          const auto ji = static_cast<size_t>(j);
-          if (s.completion[ji] > 0.0) continue;
-          const Topology& tj = s.topo(j);
-          int live_j = 0;
-          for (int r = 0; r < tj.count(Task::kCfar); ++r)
-            live_j += s.eng->rank_permanently_dead(
-                          tj.rank_at(Task::kCfar, r))
-                          ? 0
-                          : 1;
-          if (s.cfar_done[ji] >= live_j && live_j > 0) {
-            s.shed[ji] = 1;
-            s.detections[ji].clear();
-            s.completion[ji] = WallTimer::now();
-            retro.push_back(j);
-          }
-        }
-      }
-      if (shed) s.shed[static_cast<size_t>(cpi)] = 1;
-      auto& sink = s.detections[static_cast<size_t>(cpi)];
-      // A shed CPI reports nothing: wipe contributions a peer banked
-      // before this rank learned the CPI cannot complete whole (e.g. the
-      // dead CFAR peer ticked here before dying mid-stream).
-      if (shed) sink.clear();
-      sink.insert(sink.end(), dets.begin(), dets.end());
-      if (++s.cfar_done[static_cast<size_t>(cpi)] >= live &&
-          s.completion[static_cast<size_t>(cpi)] == 0.0) {
-        const double done = WallTimer::now();
-        s.completion[static_cast<size_t>(cpi)] = done;
-        cpi_done = true;
-        cpi_shed = s.shed[static_cast<size_t>(cpi)] != 0;
-        const double in = s.input_ready[static_cast<size_t>(cpi)];
-        latency = in > 0.0 ? done - in : 0.0;
-      }
-    }
-    // The sink closes the overload-control loop: latency samples drive the
-    // SLO term, completions release throttled producers.
-    if (cpi_done && s.ctrl != nullptr)
-      s.ctrl->on_complete(cpi, latency, cpi_shed);
-    for (const index_t j : retro)
-      if (s.ctrl != nullptr) s.ctrl->on_complete(j, 0.0, true);
-    if (shed && obs::tracing_enabled())
-      obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
-                 static_cast<std::int64_t>(cpi), t0, t1, -1, -1});
-    // The sink has no downstream send; its "send" span is the detection
-    // report commit, so every task traces a full recv/comp/send triple.
-    if (obs::tracing_enabled())
-      emit_phase_spans(c.rank(), Task::kCfar, cpi, t0, t1, t2,
-                       WallTimer::now(), 0);
-    observe_health(c, s, Task::kCfar, cpi, t0, t1, t2);
-    // Detector tick from the sink, not the coordinator: the pipelined
-    // front can sprint arbitrarily far ahead of a straggler (and exit its
-    // loop before the victim has min_samples), while the sink only reaches
-    // CPI i after every upstream rank has sampled it — scans always score
-    // mature statistics.
-    if (role.local == 0) health_scan(s, tp, cpi);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-    }
+    return complete;
   }
-  // Stream-completion bookkeeping (releasing an idle spare) moved to the
-  // driver loop: only ranks whose *final* role is CFAR count, and a rank
-  // migrating away mid-stream must not tick the counter.
-  acc.commit(s, Task::kCfar, s.measured_count());
-  return next;
-}
+
+  void compute(const Cycle& cy, int attempt) {
+    dets = stap::cfar_detect(power, my_bins, s.p);
+    maybe_flip_detections(s, cy.cpi, c.rank(), attempt, dets);
+  }
+  bool verify(const Cycle&) {
+    return stap::verify_detections(dets, power, my_bins, s.p);
+  }
+
+  // The sink has no downstream send: its "send" is the report commit. A
+  // shed CPI — incomplete power data, or a persistently corrupt report the
+  // ABFT check refused — reports no detections; the sink ledgers the drop
+  // instead of stalling the stream or publishing wrong detections.
+  void send(const Cycle& cy) {
+    if (commit_report(s, cy.tp, cy.cpi, cy.shed, dets) &&
+        obs::tracing_enabled())
+      obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
+                 static_cast<std::int64_t>(cy.cpi), cy.t0, cy.t1, -1, -1});
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Role dispatch
 // ---------------------------------------------------------------------------
+// Runs this rank's `role` from `cpi`, returning the first CPI it did not
+// process as that role. `resume` (a spare that assumed a dead rank's
+// identity) restores the weight state before re-entering the stream.
+index_t run_stage(Comm& c, Shared& s, Topology::Role role, index_t cpi,
+                  const Resume* resume) {
+  auto go = [&](auto&& st) {
+    if (resume != nullptr && resume->restored) resume->restored(cpi);
+    return drive(st, role.task, cpi);
+  };
+  switch (role.task) {
+    case Task::kDopplerFilter:
+      return go(DopplerStage(c, s));
+    case Task::kEasyWeight:
+      return go(WeightStage<stap::EasyWeightComputer>(c, s, role.local, resume));
+    case Task::kHardWeight:
+      return go(WeightStage<stap::HardWeightComputer>(c, s, role.local, resume));
+    case Task::kEasyBeamform:
+      return go(BeamformStage(c, s, role.local, /*hard=*/false));
+    case Task::kHardBeamform:
+      return go(BeamformStage(c, s, role.local, /*hard=*/true));
+    case Task::kPulseCompression:
+      return go(PulseCompressionStage(c, s));
+    case Task::kCfar:
+      return go(CfarStage(c, s));
+  }
+  return s.n_cpis;
+}
+
 // Runs whatever tasks this rank's topology role demands from `cpi` to the
-// end of the stream. The migratable tasks return the CPI at which a
-// committed migration changed this rank's role and the loop re-enters the
-// new task's body there; the stateful weight/BF tasks never change role and
-// always run to the end. Shared by the normal per-rank driver body (cpi 0)
-// and by a spare that just assumed a dead stateless rank's identity (the
-// dead rank's frozen progress).
-void run_roles(Comm& c, Shared& s, index_t cpi) {
+// end of the stream. A committed migration that changes the role hands the
+// CPI back here and the new task's stage re-enters at it; the weight and
+// beamforming groups never change role. Shared by the normal per-rank body
+// (cpi 0) and by a spare resuming under a dead rank's identity.
+void run_roles(Comm& c, Shared& s, index_t cpi,
+               const Resume* resume = nullptr) {
   const int rank = c.rank();
   while (cpi < s.n_cpis) {
     const Topology::Role role = s.topo(cpi).role_of(rank);
     PPSTAP_CHECK(role.local >= 0, "rank not assigned to any task");
-    switch (role.task) {
-      case Task::kDopplerFilter:
-        cpi = run_doppler(c, s, cpi);
-        break;
-      case Task::kEasyWeight:
-        run_easy_wt(c, s, role.local);
-        cpi = s.n_cpis;
-        break;
-      case Task::kHardWeight:
-        run_hard_wt(c, s, role.local);
-        cpi = s.n_cpis;
-        break;
-      case Task::kEasyBeamform:
-        run_beamform(c, s, role.local, /*hard=*/false, cpi);
-        cpi = s.n_cpis;
-        break;
-      case Task::kHardBeamform:
-        run_beamform(c, s, role.local, /*hard=*/true, cpi);
-        cpi = s.n_cpis;
-        break;
-      case Task::kPulseCompression:
-        cpi = run_pc(c, s, cpi);
-        break;
-      case Task::kCfar:
-        cpi = run_cfar(c, s, cpi);
-        break;
-    }
+    cpi = run_stage(c, s, role, cpi, std::exchange(resume, nullptr));
   }
   // Last CFAR rank (under the final topology) out releases idle spares
   // from their standby loops. Only ranks whose *final* role is CFAR count:
@@ -1738,11 +1473,9 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
     const index_t at = std::max<index_t>(0, s.eng->progress_of(*dead));
     const Topology::Role role = s.topo(at).role_of(*dead);
     PPSTAP_CHECK(role.local >= 0, "dead rank not in the topology");
-    const bool stateful =
-        role.task == Task::kEasyWeight || role.task == Task::kHardWeight;
 
-    Resume resume;
-    if (stateful) {
+    Resume resume{at, {}, {}};
+    if (role.task == Task::kEasyWeight || role.task == Task::kHardWeight) {
       std::lock_guard<std::mutex> lock(s.mu);
       auto it = s.checkpoints.find(*dead);
       PPSTAP_CHECK(it != s.checkpoints.end(),
@@ -1769,8 +1502,8 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
     if (s.spares_left.fetch_sub(1, std::memory_order_acq_rel) - 1 <= 0)
       for (int g = 0; g < s.a.total(); ++g) world.set_recoverable(g, false);
 
-    auto record = [&s, &c, dead = *dead, task = role.task, t_death,
-                   was_quarantined](index_t cpi) {
+    resume.restored = [&s, &c, dead = *dead, task = role.task, t_death,
+                       was_quarantined](index_t cpi) {
       const double t_up = WallTimer::now();
       {
         std::lock_guard<std::mutex> lock(s.mu);
@@ -1789,16 +1522,7 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
                    static_cast<std::int64_t>(cpi), t_death, t_up, -1, -1});
       obs::flight_dump("failover");
     };
-    if (stateful) {
-      resume.restored = record;
-      if (role.task == Task::kEasyWeight)
-        run_easy_wt(c, s, role.local, &resume);
-      else
-        run_hard_wt(c, s, role.local, &resume);
-    } else {
-      record(at);
-      run_roles(c, s, at);
-    }
+    run_roles(c, s, resume.cpi, &resume);
     return;  // each pool member covers one failure
   }
   s.spare_wakeups.store(bo.wakeups(), std::memory_order_relaxed);
@@ -1879,7 +1603,7 @@ PipelineResult ParallelStapPipeline::run(
   // Gray-failure detector: shared by every rank thread through Shared.
   // Constructed unconditionally (cheap), wired only when enabled so the
   // disabled path costs nothing per CPI.
-  HealthMonitor monitor(hc_, assign_.total() + ft_.spare_count());
+  HealthMonitor monitor(hc_, assign_.total() + ft_.spares);
   if (hc_.enabled) s.health = &monitor;
 
   // The controller lives on the driver's stack for the run; every rank
@@ -1905,10 +1629,10 @@ PipelineResult ParallelStapPipeline::run(
   // member every topology rank is recoverable — the pool is universal, any
   // role can be assumed (weight state from its per-CPI checkpoint, the
   // stateless roles from the dead rank's frozen progress point).
-  comm::World world(assign_.total() + ft_.spare_count());
+  comm::World world(assign_.total() + ft_.spares);
   world.set_fault_plan(plan_);
-  s.spares_left.store(ft_.spare_count(), std::memory_order_relaxed);
-  if (ft_.spare_count() > 0)
+  s.spares_left.store(ft_.spares, std::memory_order_relaxed);
+  if (ft_.spares > 0)
     for (int g = 0; g < assign_.total(); ++g) world.set_recoverable(g);
 
   // The migration engine is always installed: with elastic disabled and no
@@ -2155,7 +1879,7 @@ PipelineResult ParallelStapPipeline::run(
           .add(static_cast<std::uint64_t>(
               result.faults.uncovered_ranks.size()));
   }
-  if (ft_.spare_count() > 0)
+  if (ft_.spares > 0)
     reg.counter("spare.poll_wakeups")
         .add(s.spare_wakeups.load(std::memory_order_relaxed));
 

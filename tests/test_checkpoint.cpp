@@ -198,7 +198,7 @@ TEST(Checkpoint, DigestContinuityAcrossSpareFailover) {
   core::ParallelStapPipeline par(
       f.p, a, f.steering(), {gen.replica().begin(), gen.replica().end()});
   core::FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   core::IntegrityConfig ic;

@@ -839,5 +839,32 @@ TEST(FaultInjection, SlowFactorIsDeterministicPerRankAndCpi) {
   EXPECT_EQ(a.stats().slowed, static_cast<std::uint64_t>(slowed_cpis));
 }
 
+TEST(FaultInjection, RankScopedComputeFlipFiresOnlyForItsRank) {
+  // A rank-pinned rule neither fires for nor is used up by another rank
+  // executing the same (task, cpi); both of its applications land on the
+  // pinned rank (the original execution and the ABFT recompute).
+  FaultPlan plan;
+  plan.add_compute(FaultPlan::flip_stage(/*task=*/0, /*cpi=*/3, /*bit=*/12,
+                                         /*max_applications=*/2,
+                                         /*rank=*/2));
+  int bit = -1;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(plan.compute_flip_due(0, 3, /*rank=*/1, attempt, &bit));
+    EXPECT_FALSE(plan.compute_flip_due(0, 3, /*rank=*/3, attempt, &bit));
+  }
+  EXPECT_EQ(bit, -1);
+  EXPECT_FALSE(plan.compute_flip_due(0, 4, /*rank=*/2, 0, &bit));
+  EXPECT_TRUE(plan.compute_flip_due(0, 3, /*rank=*/2, 0, &bit));
+  EXPECT_EQ(bit, 12);
+  EXPECT_TRUE(plan.compute_flip_due(0, 3, /*rank=*/2, 1, &bit));
+  EXPECT_FALSE(plan.compute_flip_due(0, 3, /*rank=*/2, 0, &bit));
+  EXPECT_EQ(plan.stats().flips, 2u);
+
+  // The default (-1) still matches any rank.
+  FaultPlan any;
+  any.add_compute(FaultPlan::flip_stage(/*task=*/0, /*cpi=*/3));
+  EXPECT_TRUE(any.compute_flip_due(0, 3, /*rank=*/5, 0, &bit));
+}
+
 }  // namespace
 }  // namespace ppstap::comm

@@ -136,7 +136,7 @@ TEST(FaultTolerance, HardWeightKillFailsOverWithExactDetections) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
@@ -174,7 +174,7 @@ TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
@@ -312,7 +312,7 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(), dsp::lfm_chirp(8));
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
 
@@ -384,7 +384,7 @@ TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);

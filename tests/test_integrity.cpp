@@ -10,6 +10,7 @@
 #include <limits>
 #include <numbers>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "comm/fault.hpp"
@@ -386,11 +387,11 @@ struct Fixture {
 };
 
 core::PipelineResult run_pipeline(const Fixture& f, index_t n_cpis,
-                                  bool abft, FaultPlan* plan) {
+                                  bool abft, FaultPlan* plan,
+                                  const core::NodeAssignment& a = {}) {
   synth::ScenarioGenerator gen(f.sp);
   core::ParallelStapPipeline par(
-      f.p, core::NodeAssignment{}, f.steering(),
-      {gen.replica().begin(), gen.replica().end()});
+      f.p, a, f.steering(), {gen.replica().begin(), gen.replica().end()});
   IntegrityConfig ic;
   ic.enabled = abft;
   par.set_integrity(ic);
@@ -475,33 +476,48 @@ TEST(IntegrityPipeline, PersistentCorruptionEscalatesToOneLedgeredShed) {
   auto f = Fixture::make();
   const index_t n_cpis = 6;
   const index_t bad_cpi = 3;
-  const auto ref = run_pipeline(f, n_cpis, /*abft=*/true, nullptr);
+  // The default layout, then two Doppler ranks repeated ten times: the
+  // rule is pinned to the last Doppler rank, or a max_applications = 2
+  // plan could spend its flips on two ranks that each repair their own.
+  const std::pair<core::NodeAssignment, int> inputs[] = {
+      {core::NodeAssignment{}, 1},
+      {core::NodeAssignment{{2, 1, 1, 1, 1, 1, 1}}, 10}};
+  for (const auto& [a, reps] : inputs) {
+    const auto ref = run_pipeline(f, n_cpis, /*abft=*/true, nullptr, a);
+    for (int rep = 0; rep < reps; ++rep) {
+      SCOPED_TRACE(::testing::Message()
+                   << "doppler ranks " << a[Task::kDopplerFilter]
+                   << " rep " << rep);
+      FaultPlan plan(/*seed=*/78);
+      plan.add_compute(FaultPlan::flip_stage(
+          static_cast<int>(Task::kDopplerFilter), bad_cpi, /*bit=*/30,
+          /*max_applications=*/2,  // corrupt the recompute too
+          /*rank=*/a.first_rank(Task::kDopplerFilter) +
+              a[Task::kDopplerFilter] - 1));
+      const auto res = run_pipeline(f, n_cpis, /*abft=*/true, &plan, a);
 
-  FaultPlan plan(/*seed=*/78);
-  plan.add_compute(FaultPlan::flip_stage(
-      static_cast<int>(Task::kDopplerFilter), bad_cpi, /*bit=*/30,
-      /*max_applications=*/2));  // corrupt the recompute too
-  const auto res = run_pipeline(f, n_cpis, /*abft=*/true, &plan);
-
-  EXPECT_EQ(res.integrity.escalations, 1u);
-  EXPECT_EQ(res.integrity.recomputes, 1u);
-  EXPECT_EQ(res.integrity.repairs, 0u);
-  ASSERT_FALSE(res.integrity.events.empty());
-  EXPECT_FALSE(res.integrity.events.back().repaired);
-  EXPECT_EQ(res.integrity.events.back().cpi, bad_cpi);
-  EXPECT_EQ(res.integrity.events.back().task,
-            static_cast<int>(Task::kDopplerFilter));
-  // The corrupt CPI was refused, not published: exactly one shed. CPIs
-  // before it are bit-exact; CPIs after it legitimately diverge from the
-  // fault-free reference because the shed CPI's training snapshots are
-  // missing from the adaptive weight history.
-  ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{bad_cpi});
-  EXPECT_TRUE(res.detections[static_cast<size_t>(bad_cpi)].empty());
-  for (index_t cpi = 0; cpi < bad_cpi; ++cpi)
-    EXPECT_TRUE(same_detections(
-        {res.detections[static_cast<size_t>(cpi)]},
-        {ref.detections[static_cast<size_t>(cpi)]}))
-        << "cpi=" << cpi;
+      EXPECT_EQ(plan.stats().flips, 2u);
+      EXPECT_EQ(res.integrity.escalations, 1u);
+      EXPECT_EQ(res.integrity.recomputes, 1u);
+      EXPECT_EQ(res.integrity.repairs, 0u);
+      ASSERT_FALSE(res.integrity.events.empty());
+      EXPECT_FALSE(res.integrity.events.back().repaired);
+      EXPECT_EQ(res.integrity.events.back().cpi, bad_cpi);
+      EXPECT_EQ(res.integrity.events.back().task,
+                static_cast<int>(Task::kDopplerFilter));
+      // The corrupt CPI was refused, not published: exactly one shed. CPIs
+      // before it are bit-exact; CPIs after it legitimately diverge from
+      // the fault-free reference because the shed CPI's training snapshots
+      // are missing from the adaptive weight history.
+      ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{bad_cpi});
+      EXPECT_TRUE(res.detections[static_cast<size_t>(bad_cpi)].empty());
+      for (index_t cpi = 0; cpi < bad_cpi; ++cpi)
+        EXPECT_TRUE(same_detections(
+            {res.detections[static_cast<size_t>(cpi)]},
+            {ref.detections[static_cast<size_t>(cpi)]}))
+            << "cpi=" << cpi;
+    }
+  }
 }
 
 }  // namespace

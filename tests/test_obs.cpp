@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -22,6 +23,7 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "comm/collectives.hpp"
+#include "comm/fault.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -440,39 +442,44 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
                                          p.beam_center_rad, p.beam_span_rad);
 
   core::NodeAssignment a{{2, 1, 2, 1, 1, 1, 1}};  // 9 ranks
-  core::ParallelStapPipeline pipe(p, a, steering,
-                                  {gen.replica().begin(),
-                                   gen.replica().end()});
+  const std::vector<cfloat> replica{gen.replica().begin(),
+                                    gen.replica().end()};
+
+  // Every exit of the Fig.-10 cycle — normal, shed, ABFT escalation,
+  // admission reject — emits exactly one {recv, comp, send} triple per
+  // rank per CPI, in phase order, and every task reports its phase times.
+  const auto check_grid = [&](const core::PipelineResult& r,
+                              index_t n_cpis) {
+    std::map<std::tuple<int, std::int64_t, std::string>, int> grid;
+    std::map<std::pair<int, std::int64_t>, std::array<double, 3>> starts;
+    for (const auto& s : snapshot()) {
+      if (std::string(s.category) != "pipeline") continue;
+      EXPECT_GE(s.t_end, s.t_start);
+      ++grid[{s.rank, s.cpi, s.name}];
+      const int phase = std::string(s.name) == "recv"  ? 0
+                        : std::string(s.name) == "comp" ? 1
+                                                        : 2;
+      starts[{s.rank, s.cpi}][static_cast<size_t>(phase)] = s.t_start;
+    }
+    for (int rank = 0; rank < a.total(); ++rank)
+      for (index_t cpi = 0; cpi < n_cpis; ++cpi)
+        for (const char* phase : {"recv", "comp", "send"}) {
+          EXPECT_EQ((grid[{rank, cpi, phase}]), 1)
+              << "rank " << rank << " cpi " << cpi << " " << phase;
+        }
+    for (const auto& [key, t] : starts) {
+      EXPECT_LE(t[0], t[1]);
+      EXPECT_LE(t[1], t[2]);
+    }
+    for (int t = 0; t < stap::kNumTasks; ++t)
+      EXPECT_GT(r.timing[static_cast<size_t>(t)].total(), 0.0)
+          << stap::task_name(static_cast<stap::Task>(t));
+  };
+
+  core::ParallelStapPipeline pipe(p, a, steering, replica);
   const index_t n_cpis = 6;
   const auto result = pipe.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-
-  // One {recv, comp, send} triple per rank per CPI.
-  std::map<std::tuple<int, std::int64_t, std::string>, int> grid;
-  for (const auto& s : snapshot()) {
-    if (std::string(s.category) != "pipeline") continue;
-    EXPECT_GE(s.t_end, s.t_start);
-    ++grid[{s.rank, s.cpi, s.name}];
-  }
-  for (int rank = 0; rank < a.total(); ++rank)
-    for (index_t cpi = 0; cpi < n_cpis; ++cpi)
-      for (const char* phase : {"recv", "comp", "send"}) {
-        EXPECT_EQ((grid[{rank, cpi, phase}]), 1)
-            << "rank " << rank << " cpi " << cpi << " " << phase;
-      }
-
-  // recv <= comp <= send start ordering within each (rank, cpi).
-  std::map<std::pair<int, std::int64_t>, std::array<double, 3>> starts;
-  for (const auto& s : snapshot()) {
-    if (std::string(s.category) != "pipeline") continue;
-    const int phase = std::string(s.name) == "recv"  ? 0
-                      : std::string(s.name) == "comp" ? 1
-                                                      : 2;
-    starts[{s.rank, s.cpi}][static_cast<size_t>(phase)] = s.t_start;
-  }
-  for (const auto& [key, t] : starts) {
-    EXPECT_LE(t[0], t[1]);
-    EXPECT_LE(t[1], t[2]);
-  }
+  check_grid(result, n_cpis);
 
   // Percentiles agree with the exact order statistics of per_cpi_latency
   // to within one histogram bucket.
@@ -511,6 +518,46 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
     edge_total += b;
   }
   EXPECT_GT(edge_total, 0.0);
+
+  // Degraded input: a persistent flip (both executions corrupted) on the
+  // first execution of every task, pinned to the task's first rank, and
+  // admission rejects. CPIs 0-5 are always admitted under a bound of six
+  // in flight, which is enough for every stage to escalate once: Doppler
+  // and the weights at CPI 0, beamforming at 1 (or 2, when the weight
+  // marker of CPI 1 turns its data receives into zero-deadline drains),
+  // then pulse compression and CFAR. A slowed CFAR rank builds the backlog
+  // that makes admission reject, and a permissive CFAR threshold gives the
+  // report flip a victim.
+  reset();
+  auto pd = p;
+  pd.cfar_pfa = 1e-2;
+  core::ParallelStapPipeline degraded(pd, a, steering, replica);
+  core::IntegrityConfig ic;
+  ic.enabled = true;
+  degraded.set_integrity(ic);
+  core::OverloadConfig ov;
+  ov.enabled = true;
+  ov.ladder = false;
+  ov.queue_low = 1;
+  ov.queue_high = 6;
+  degraded.set_overload(ov);
+  comm::FaultPlan plan(/*seed=*/41);
+  for (int t = 0; t < stap::kNumTasks; ++t)
+    plan.add_compute(comm::FaultPlan::flip_stage(
+        t, /*cpi=*/-1, /*bit=*/30, /*max_applications=*/2,
+        a.first_rank(static_cast<stap::Task>(t))));
+  plan.add(comm::FaultPlan::slow_rank(a.first_rank(stap::Task::kCfar),
+                                      /*factor=*/400.0));
+  degraded.set_fault_plan(&plan);
+  const index_t n_degraded = 24;
+  const auto dr = degraded.run(gen, n_degraded, /*warmup=*/1,
+                               /*cooldown=*/1);
+  EXPECT_FALSE(dr.overload.rejected_cpis.empty());
+  std::set<int> escalated;
+  for (const auto& e : dr.integrity.events)
+    if (!e.repaired) escalated.insert(e.task);
+  EXPECT_EQ(escalated.size(), static_cast<size_t>(stap::kNumTasks));
+  check_grid(dr, n_degraded);
 }
 
 #endif  // PPSTAP_ENABLE_TRACING
