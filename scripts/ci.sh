@@ -9,6 +9,10 @@
 #      >= 2x geomean kernel speedup and >= 1.3x pipeline-analogue gate.
 #  1c. Build-both-ways check: -DPPSTAP_ENABLE_AVX2=OFF must still compile
 #      and pass the kernel + dsp suites with dispatch resolved to scalar.
+#  1d. Repository benchmark smoke: stapbench/run.py runs both pipeline
+#      workloads traced for 5 s. Exit 0 means every CPI matched the
+#      sequential reference and the trace reconciled (decomposition within
+#      5% of the measured latency, no span dropped).
 #   2. Seed the machine-readable benchmark baseline: table 8 with --json
 #      writes BENCH_table8.json, with the causal flow tracer armed
 #      (PPSTAP_TRACE=1) so the run also exports trace_table8.json for the
@@ -119,6 +123,12 @@ cmake -B build-noavx2 -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-noavx2 -j "$JOBS" --target test_kernels test_dsp
 ctest --test-dir build-noavx2 --output-on-failure -j "$JOBS" \
       -R '^(test_kernels|test_dsp)$'
+
+echo "=== stapbench: traced stream workloads (exact CPIs, reconciled trace) ==="
+for workload in stream_paper stream_small_guarded; do
+  python3 stapbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+    --trace 1
+done
 
 echo "=== bench baseline: BENCH_table8.json (traced) ==="
 PPSTAP_TRACE=1 PPSTAP_TRACE_FILE=trace_table8.json \

@@ -349,20 +349,22 @@ void emit_phase_spans(int rank, Task t, index_t cpi, double t0, double t1,
 // the first recv of a CPI starts the real-time budget; a recv that cannot
 // complete within the remaining budget (or that delivers a shed marker /
 // hits a dead peer / consumes an unrecoverably corrupt frame) returns
-// nullopt, after which the CPI must be shed. Remaining inputs are still
-// polled with a zero deadline so whatever already arrived is drained, and
-// sources that never delivered go on the stale list — their late frames
-// are discarded at the start of subsequent CPIs. (A kCorrupt frame is
-// already consumed and is NOT staled.) With overload control but no
-// shedding, the budget is effectively infinite: markers are recognized,
-// nothing times out.
+// nullopt, after which the CPI must be shed — unless the caller covers the
+// miss from a fallback (cover(): beamforming's weight cache), in which case
+// the remaining inputs keep the CPI's budget. After an uncovered miss the
+// remaining inputs are still polled with a zero deadline so whatever
+// already arrived is drained, and sources that never delivered go on the
+// stale list — their late frames are discarded at the start of subsequent
+// CPIs. (A kCorrupt frame is already consumed and is NOT staled.) With
+// overload control but no shedding, the budget is effectively infinite:
+// markers are recognized, nothing times out.
 struct FtRecv {
   Comm& c;
   const FaultToleranceConfig& cfg;
   bool active = false;
   double budget = 0.0;    // per-CPI real-time budget, seconds
   double deadline = 0.0;  // absolute, WallTimer base
-  bool missed = false;    // some input did not make this CPI's deadline
+  bool missed = false;    // an uncovered input missed: the CPI sheds
   std::vector<std::pair<int, int>> stale{};  // (src, tag) awaiting discard
 
   void begin() {
@@ -403,6 +405,11 @@ struct FtRecv {
       stale.emplace_back(src, tag);
     return std::nullopt;
   }
+
+  /// The caller served the inputs that missed from a fallback, so the CPI
+  /// can still complete: later receives wait out the remaining budget
+  /// instead of draining.
+  void cover() { missed = false; }
 };
 
 // Budget large enough to be "never" yet safely representable in the comm
@@ -851,18 +858,18 @@ struct DopplerStage : StageBase {
     }
     // Beamforming: the full slab for the destination's bins, reorganized
     // to (bin, range, channel) — Fig. 8; the hard group gets both stagger
-    // halves (2J channels).
+    // halves (2J channels). The frame has room for the digest, so
+    // appending it never copies the slab.
     auto send_slab = [&](Task bf, const BlockPartition& part,
                          const std::vector<index_t>& bin_list, index_t nch,
                          SimEdge e) {
       for (int r = 0; r < tp.count(bf); ++r) {
         const auto bins = slice(bin_list, part, r);
         std::vector<cfloat> buf;
-        buf.reserve(bins.size() * static_cast<size_t>(kl * nch));
-        for (const index_t bin : bins)
-          for (index_t k = 0; k < kl; ++k)
-            for (index_t ch = 0; ch < nch; ++ch)
-              buf.push_back(stag.at(k, ch, bin));
+        const size_t n = bins.size() * static_cast<size_t>(kl * nch);
+        buf.reserve(n + digest_elems<cfloat>());
+        buf.resize(n);
+        cube::gather_bins(stag, bins, nch, buf);
         send_frame(tp.rank_at(bf, r), cy.cpi, e, buf);
       }
     };
@@ -1150,9 +1157,10 @@ struct BeamformStage : StageBase {
           wcache[static_cast<size_t>(cy.cpi % s.p.num_beam_positions)];
       if (weights_complete)
         cache = w;  // refresh the fallback for this position
-      else if (cache)
+      else if (cache) {
         w = *cache;  // beamform with the position's last known weights
-      else
+        ftr.cover();
+      } else
         shed = true;  // nothing to beamform with yet
     }
 
@@ -1614,6 +1622,9 @@ PipelineResult ParallelStapPipeline::run(
     s.ctrl = &*ctrl;
     source.set_overload_controller(&*ctrl);
   }
+  // The front end runs ahead from here: CPI 0 is generated while the
+  // World, the engines and the weight stages are set up.
+  source.start(num_cpis);
 
   if (obs::tracing_enabled()) {
     for (int t = 0; t < stap::kNumTasks; ++t)

@@ -49,6 +49,23 @@ void unpack_subcube(Cube<T>& c, std::array<index_t, 3> lo,
     }
 }
 
+void gather_bins(const CpiCube& c, std::span<const index_t> bins,
+                 index_t nch, std::span<cfloat> out) {
+  const index_t kl = c.extent(0);
+  const auto nb = static_cast<index_t>(bins.size());
+  PPSTAP_REQUIRE(nch >= 0 && nch <= c.extent(1), "channel count out of range");
+  PPSTAP_REQUIRE(static_cast<index_t>(out.size()) >= nb * kl * nch,
+                 "gather buffer too small");
+  for (const index_t bin : bins)
+    PPSTAP_REQUIRE(bin >= 0 && bin < c.extent(2), "bin out of range");
+  for (index_t k = 0; k < kl; ++k)
+    for (index_t b = 0; b < nb; ++b) {
+      const index_t bin = bins[static_cast<size_t>(b)];
+      cfloat* dst = out.data() + (b * kl + k) * nch;
+      for (index_t ch = 0; ch < nch; ++ch) dst[ch] = c.at(k, ch, bin);
+    }
+}
+
 template <typename T>
 Cube<T> permute(const Cube<T>& in, std::array<int, 3> perm) {
   bool seen[3] = {false, false, false};

@@ -86,6 +86,14 @@ void unpack_subcube(Cube<T>& c, std::array<index_t, 3> lo,
 template <typename T>
 Cube<T> permute(const Cube<T>& in, std::array<int, 3> perm);
 
+/// Data collection for the Doppler -> beamforming edge (paper Fig. 8):
+/// out(b, k, ch) = c(k, ch, bins[b]) for every range row k of `c` and the
+/// channels [0, nch), in a (bins.size(), extent(0), nch) buffer. The loop
+/// runs range-major, so each (k, *, *) block of `c` is read once for all
+/// bins. `out` must hold bins.size() * extent(0) * nch elements.
+void gather_bins(const CpiCube& c, std::span<const index_t> bins,
+                 index_t nch, std::span<cfloat> out);
+
 extern template index_t pack_subcube<cfloat>(const Cube<cfloat>&,
                                              std::array<index_t, 3>,
                                              std::array<index_t, 3>,

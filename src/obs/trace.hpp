@@ -73,6 +73,9 @@ inline constexpr int kIntegrityTrack = -4;
 /// Causal flow spans: one "xfer" per delivered redistribution frame,
 /// carrying the FlowContext the sender piggybacked on it.
 inline constexpr int kFlowTrack = -5;
+/// The CPI source: one "generate" span (category "source") per generated
+/// cube, outside the seven-task grid.
+inline constexpr int kSourceTrack = -6;
 
 struct Config {
   bool enabled = false;

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "core/assignment.hpp"
@@ -172,6 +176,128 @@ TEST(CpiSource, RegenerationStormThrows) {
       Error);
   // The bound fired after exactly max_regenerations + 1 regenerations.
   EXPECT_EQ(source.regeneration_count(), 4);
+}
+
+ScenarioParams tiny_scene() {
+  ScenarioParams sp;
+  sp.num_range = 16;
+  sp.num_channels = 2;
+  sp.num_pulses = 8;
+  sp.clutter.num_patches = 2;
+  sp.chirp_length = 0;
+  return sp;
+}
+
+bool same_bytes(const cube::CpiCube& a, const cube::CpiCube& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
+}
+
+TEST(CpiSource, LookedAheadCubeEqualsGenerate) {
+  ScenarioGenerator gen(tiny_scene());
+  std::mutex mu;
+  std::map<index_t, std::thread::id> generated_on;
+  CpiSource source([&](index_t cpi) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      generated_on[cpi] = std::this_thread::get_id();
+    }
+    return gen.generate(cpi);
+  });
+  source.start(/*end=*/4);
+  (void)source.get(0);  // hands CPI 1 to the source thread
+  const auto ahead = source.get(1);
+  EXPECT_TRUE(same_bytes(*ahead, gen.generate(1)));
+  EXPECT_EQ(source.times_generated(1), 1);
+  EXPECT_EQ(source.regeneration_count(), 0);
+  // Both cubes came from the source thread, not from the caller's get().
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_NE(generated_on.at(0), std::this_thread::get_id());
+  EXPECT_NE(generated_on.at(1), std::this_thread::get_id());
+}
+
+TEST(CpiSource, StreamGeneratesEachCpiOnceAndNonePastTheEnd) {
+  ScenarioGenerator gen(tiny_scene());
+  std::atomic<int> calls{0};
+  const index_t n = 5;
+  {
+    CpiSource source(
+        [&](index_t cpi) {
+          calls.fetch_add(1);
+          return gen.generate(cpi);
+        });
+    source.start(n);
+    for (index_t cpi = 0; cpi < n; ++cpi) (void)source.get(cpi);
+    // Taking the last CPI must not queue one past the end; give such a
+    // stray look-ahead time to start before the checks and the
+    // destructor's stop.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (index_t cpi = 0; cpi < n; ++cpi)
+      EXPECT_EQ(source.times_generated(cpi), 1) << "cpi " << cpi;
+    EXPECT_EQ(source.times_generated(n), 0);
+  }
+  EXPECT_EQ(calls.load(), n);
+}
+
+TEST(CpiSource, CpiRejectedAtAdmissionIsNeverGenerated) {
+  ScenarioGenerator gen(tiny_scene());
+  const index_t n = 8;
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  cfg.ladder = false;
+  cfg.queue_low = 1;
+  cfg.queue_high = 2;
+  OverloadController ctrl(cfg, n);
+  CpiSource source(gen);
+  source.set_overload_controller(&ctrl);
+  source.start(n);
+  // Nothing completes, so the backlog pins at the bound and every CPI
+  // after the first two is rejected.
+  std::vector<index_t> rejected;
+  for (index_t cpi = 0; cpi < n; ++cpi) {
+    if (source.admit(cpi).admit) {
+      (void)source.get(cpi);
+      EXPECT_EQ(source.times_generated(cpi), 1) << "cpi " << cpi;
+    } else {
+      rejected.push_back(cpi);
+    }
+  }
+  ASSERT_FALSE(rejected.empty());
+  for (const index_t cpi : rejected)
+    EXPECT_EQ(source.times_generated(cpi), 0) << "cpi " << cpi;
+}
+
+TEST(CpiSource, GeneratorExceptionSurfacesAtGet) {
+  ScenarioGenerator gen(tiny_scene());
+  CpiSource source([&](index_t cpi) {
+    if (cpi == 1) throw Error("front end failed");
+    return gen.generate(cpi);
+  });
+  source.start(/*end=*/3);
+  (void)source.get(0);
+  // Every rank that waits for the failed cube sees the error.
+  EXPECT_THROW((void)source.get(1), Error);
+  EXPECT_THROW((void)source.get(1), Error);
+}
+
+TEST(CpiSource, DestructionWithGenerationInFlightJoins) {
+  ScenarioGenerator gen(tiny_scene());
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  {
+    CpiSource source([&](index_t cpi) {
+      started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      finished.fetch_add(1);
+      return gen.generate(cpi);
+    });
+    source.start(/*end=*/10);
+    (void)source.get(0);  // CPI 1 is now queued or in flight
+  }
+  // The destructor waited for the generation it found in flight.
+  EXPECT_EQ(started.load(), finished.load());
+  EXPECT_LE(started.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -146,6 +146,29 @@ TEST(CriticalPath, ChainsTelescopeWithNoGaps) {
   EXPECT_NEAR(rep.mean_latency, 1.40, 1e-9);
 }
 
+// The CPI source's "generate" spans overlap the pipeline (CPI i + 1 is
+// generated while stage 0 filters CPI i) but sit outside the task grid:
+// the verdict, the period and the chains must not see them.
+TEST(CriticalPath, SourceSpansStayOffTheAnalysis) {
+  auto spans = synthetic_pipeline(3);
+  const auto base = analyze_spans(spans);
+  for (int i = 0; i < 4; ++i) {
+    const double T = static_cast<double>(i) - 1.0;
+    spans.push_back({"generate", "source", -1, kSourceTrack,
+                     static_cast<std::int64_t>(i), T + 0.05, T + 0.90, -1,
+                     -1});
+  }
+  const auto rep = analyze_spans(spans);
+  ASSERT_TRUE(rep.valid) << rep.note;
+  EXPECT_EQ(rep.gating_task, base.gating_task);
+  EXPECT_EQ(rep.stages.size(), base.stages.size());
+  EXPECT_DOUBLE_EQ(rep.period, base.period);
+  ASSERT_EQ(rep.chains.size(), base.chains.size());
+  for (size_t i = 0; i < rep.chains.size(); ++i)
+    EXPECT_DOUBLE_EQ(rep.chains[i].accounted(), base.chains[i].accounted());
+  EXPECT_DOUBLE_EQ(rep.accounted_fraction, base.accounted_fraction);
+}
+
 TEST(CriticalPath, TemporalEdgesBoundWaitButStayOffTheChain) {
   // A temporal delivery (edge 4: weights trained on an earlier CPI) lands
   // at T+0.80, after the spatial input at T+0.42. It extends stage 1's

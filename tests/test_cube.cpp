@@ -2,6 +2,10 @@
 // permutation (reorganization), and block partitioning.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "cube/cube.hpp"
 #include "cube/partition.hpp"
 
@@ -100,6 +104,55 @@ TEST(Permute, InvalidPermutationThrows) {
   auto c = sequential_cube(2, 2, 2);
   EXPECT_THROW(permute(c, {0, 0, 1}), Error);
   EXPECT_THROW(permute(c, {0, 1, 3}), Error);
+}
+
+// The Doppler stage's data collection for beamforming (Fig. 8), with two
+// Doppler ranks owning unequal range slabs and two beamforming ranks per
+// group: gather_bins must produce exactly the bytes of the bin-major
+// element loop it replaced.
+TEST(GatherBins, MatchesBinMajorLoopOnTwoDopplerSlabs) {
+  const index_t k_total = 9, j = 3, n = 16;
+  const BlockPartition part_k(k_total, 2);
+  const std::vector<index_t> easy{0, 1, 2, 5, 7, 8, 11, 14};
+  const std::vector<index_t> hard{3, 4, 6, 9, 10, 12, 13, 15};
+  for (index_t d = 0; d < 2; ++d) {
+    const index_t kl = part_k.length(d);
+    CpiCube stag(kl, 2 * j, n);
+    float v = 0.0f;
+    for (index_t i = 0; i < stag.size(); ++i, v += 1.0f)
+      stag.data()[i] = cfloat(v, -0.5f * v);
+    for (const auto& [list, nch] :
+         {std::pair{easy, j}, std::pair{hard, 2 * j}}) {
+      const BlockPartition part_bf(static_cast<index_t>(list.size()), 2);
+      for (index_t r = 0; r < 2; ++r) {
+        const std::span<const index_t> bins(
+            list.data() + part_bf.offset(r),
+            static_cast<size_t>(part_bf.length(r)));
+        std::vector<cfloat> old_order;
+        for (const index_t bin : bins)
+          for (index_t k = 0; k < kl; ++k)
+            for (index_t ch = 0; ch < nch; ++ch)
+              old_order.push_back(stag.at(k, ch, bin));
+        std::vector<cfloat> gathered(old_order.size());
+        gather_bins(stag, bins, nch, gathered);
+        EXPECT_EQ(std::memcmp(gathered.data(), old_order.data(),
+                              old_order.size() * sizeof(cfloat)),
+                  0)
+            << "doppler rank " << d << " nch " << nch << " bf rank " << r;
+      }
+    }
+  }
+}
+
+TEST(GatherBins, RejectsBadArguments) {
+  CpiCube stag(2, 4, 8);
+  const std::vector<index_t> bins{1, 8};
+  std::vector<cfloat> out(2 * 2 * 4);
+  EXPECT_THROW(gather_bins(stag, bins, 4, out), Error);  // bin 8 >= N
+  const std::vector<index_t> ok{1, 7};
+  EXPECT_THROW(gather_bins(stag, ok, 5, out), Error);    // nch > 4
+  std::vector<cfloat> small(3);
+  EXPECT_THROW(gather_bins(stag, ok, 4, small), Error);  // too small
 }
 
 TEST(Partition, CoversExactlyOnce) {

@@ -255,6 +255,61 @@ TEST(FaultTolerance, DeadlineSheddingUnderInjectedDelay) {
   EXPECT_GT(res.throughput, 0.8 * stall_share * res0.throughput);
 }
 
+// A weight-edge marker that beamforming covers from its weight cache keeps
+// the CPI's deadline for the Doppler data: the easy weight solve of CPI 0
+// escalates with no earlier weights to fall back on, so the weight edge of
+// CPI `covered` (its next visit of the same transmit position) carries a
+// marker, while that CPI's Doppler -> beamforming frame is delayed well
+// inside the deadline. Beamforming must wait for the frame and form the
+// beams with the cached weights, not shed the CPI.
+TEST(FaultTolerance, CoveredWeightMarkerKeepsTheDeadlineForDopplerData) {
+  auto f = Fixture::make();
+  const index_t n_cpis = 5;
+  const index_t covered = f.p.num_beam_positions;
+  const auto ref = sequential_reference(f, n_cpis);
+
+  NodeAssignment a;
+  FaultPlan plan;
+  plan.add_compute(FaultPlan::flip_stage(
+      static_cast<int>(Task::kEasyWeight), /*cpi=*/0, /*bit=*/30,
+      /*max_applications=*/2, a.first_rank(Task::kEasyWeight)));
+  plan.add(FaultPlan::delay_message(
+      a.first_rank(Task::kDopplerFilter), a.first_rank(Task::kEasyBeamform),
+      tag_for(covered, kEdgeDopToEasyBf), /*seconds=*/0.3));
+
+  ScenarioGenerator gen(f.sp);
+  ParallelStapPipeline par(f.p, a, f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  FaultToleranceConfig ft;
+  ft.shedding = true;
+  ft.cpi_deadline_seconds = 10.0;
+  par.set_fault_tolerance(ft);
+  IntegrityConfig ic;
+  ic.enabled = true;
+  par.set_integrity(ic);
+  par.set_fault_plan(&plan);
+  auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
+
+  // The weight solve escalated (the marker) and the frame was delayed.
+  ASSERT_EQ(res.integrity.escalations, 1u);
+  ASSERT_FALSE(res.integrity.events.empty());
+  for (const auto& e : res.integrity.events) {
+    EXPECT_EQ(e.task, static_cast<int>(Task::kEasyWeight));
+    EXPECT_EQ(e.cpi, 0);
+    EXPECT_FALSE(e.repaired);
+  }
+  EXPECT_GE(res.faults.frames_delayed, 1u);
+  // Nothing shed: CPI `covered` was beamformed from the weight cache.
+  EXPECT_TRUE(res.faults.shed_cpis.empty());
+  // The escalation left the weight computer's state intact, so every
+  // other CPI is exact against the sequential reference.
+  for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
+    if (cpi == covered) continue;
+    expect_cpi_matches(res.detections[static_cast<size_t>(cpi)],
+                       ref[static_cast<size_t>(cpi)], cpi);
+  }
+}
+
 // A corrupted inter-task frame is repaired transparently by the
 // retransmission path: results are exact and the ledger shows the repair.
 TEST(FaultTolerance, CorruptedFrameIsRetransmittedExactly) {

@@ -476,10 +476,41 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
           << stap::task_name(static_cast<stap::Task>(t));
   };
 
+  // The CPI source emits one "generate" span per generated cube on its own
+  // track, outside the task grid: one per admitted CPI, none for a CPI
+  // rejected at admission, and one more per regeneration.
+  const auto regenerations = [] {
+    return Registry::global().counter("cpi_source.regenerations").value();
+  };
+  const auto check_generate = [&](const core::PipelineResult& r,
+                                  index_t n_cpis, std::uint64_t regens) {
+    std::map<std::int64_t, int> generated;
+    int total = 0;
+    for (const auto& s : snapshot()) {
+      if (std::string(s.category) != "source") continue;
+      EXPECT_EQ(s.task, kSourceTrack);
+      EXPECT_EQ(std::string(s.name), "generate");
+      ++generated[s.cpi];
+      ++total;
+    }
+    const auto& rej = r.overload.rejected_cpis;
+    for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
+      if (std::find(rej.begin(), rej.end(), cpi) != rej.end())
+        EXPECT_EQ(generated[cpi], 0) << "rejected cpi " << cpi;
+      else
+        EXPECT_GE(generated[cpi], 1) << "cpi " << cpi;
+    }
+    EXPECT_EQ(generated.count(n_cpis), 0u);
+    EXPECT_EQ(static_cast<std::uint64_t>(total),
+              static_cast<std::uint64_t>(n_cpis) - rej.size() + regens);
+  };
+
   core::ParallelStapPipeline pipe(p, a, steering, replica);
   const index_t n_cpis = 6;
+  auto regen0 = regenerations();
   const auto result = pipe.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
   check_grid(result, n_cpis);
+  check_generate(result, n_cpis, regenerations() - regen0);
 
   // Percentiles agree with the exact order statistics of per_cpi_latency
   // to within one histogram bucket.
@@ -523,11 +554,11 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
   // first execution of every task, pinned to the task's first rank, and
   // admission rejects. CPIs 0-5 are always admitted under a bound of six
   // in flight, which is enough for every stage to escalate once: Doppler
-  // and the weights at CPI 0, beamforming at 1 (or 2, when the weight
-  // marker of CPI 1 turns its data receives into zero-deadline drains),
-  // then pulse compression and CFAR. A slowed CFAR rank builds the backlog
-  // that makes admission reject, and a permissive CFAR threshold gives the
-  // report flip a victim.
+  // and the weights at CPI 0, beamforming at 1 (the weight marker of CPI 1
+  // is covered from the weight cache, so the Doppler data keeps its
+  // deadline), then pulse compression and CFAR. A slowed CFAR rank builds
+  // the backlog that makes admission reject, and a permissive CFAR
+  // threshold gives the report flip a victim.
   reset();
   auto pd = p;
   pd.cfar_pfa = 1e-2;
@@ -550,6 +581,7 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
                                       /*factor=*/400.0));
   degraded.set_fault_plan(&plan);
   const index_t n_degraded = 24;
+  regen0 = regenerations();
   const auto dr = degraded.run(gen, n_degraded, /*warmup=*/1,
                                /*cooldown=*/1);
   EXPECT_FALSE(dr.overload.rejected_cpis.empty());
@@ -558,6 +590,7 @@ TEST_F(TraceTest, PipelineEmitsOneTripleGridAndConsistentPercentiles) {
     if (!e.repaired) escalated.insert(e.task);
   EXPECT_EQ(escalated.size(), static_cast<size_t>(stap::kNumTasks));
   check_grid(dr, n_degraded);
+  check_generate(dr, n_degraded, regenerations() - regen0);
 }
 
 #endif  // PPSTAP_ENABLE_TRACING
