@@ -136,6 +136,7 @@ class JsonReport {
         "healing.uncovered",
         "cpi_source.regeneration_storms",
         "comm.dup_discarded",
+        "comm.copied_bytes",
         "fault.stage_slowdowns",
         "fault.frames_jittered",
         "fault.frames_duplicated",
@@ -149,11 +150,14 @@ class JsonReport {
           counters != nullptr ? counters->find(key) : nullptr;
       out[key] = v != nullptr ? *v : obs::Json(0.0);
     }
-    // Per-rank regeneration attribution is dynamic (one counter per
-    // straggling rank): copy whatever exists; clean runs emit none.
+    // Per-rank regeneration attribution and per-edge transport copies are
+    // dynamic (one counter per straggling rank / copying edge): copy
+    // whatever exists; clean runs emit none.
     if (counters != nullptr && counters->is_object())
       for (const auto& [k, v] : counters->as_object())
-        if (k.rfind("cpi_source.regenerations.rank", 0) == 0) out[k] = v;
+        if (k.rfind("cpi_source.regenerations.rank", 0) == 0 ||
+            k.rfind("comm.copied_bytes.", 0) == 0)
+          out[k] = v;
     const obs::Json* max_level =
         gauges != nullptr ? gauges->find("overload.max_level") : nullptr;
     out["overload.max_level"] =

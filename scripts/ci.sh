@@ -87,116 +87,172 @@
 #      documents against the committed bench/baselines/ with noise
 #      tolerances.
 #
+# Every stage runs even when an earlier one fails: a failing gate must not
+# hide the stages after it (the TSan jobs, the baseline diffs). Each stage
+# runs under `set -e` in its own subshell; the script prints the stages
+# that failed and exits 1 at the end if any did.
+#
 # Usage: scripts/ci.sh [jobs]
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
+FAILED=()
 
-echo "=== tier-1: build + ctest (tracing ON) ==="
-cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build -j "$JOBS"
-ctest --test-dir build --output-on-failure -j "$JOBS"
+stage() {  # stage NAME FUNCTION
+  local name=$1
+  echo "=== $name ==="
+  ( set -e; "$2" )
+  local rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "ci.sh: stage '$name' failed (exit $rc)"
+    FAILED+=("$name")
+  fi
+}
 
-echo "=== kernels: SIMD dispatch A/B + roofline gates (BENCH_kernels.json) ==="
-# The portable path is the numerical contract: the kernel suite must pass
-# with dispatch forced to scalar on every host. The forced-AVX2 run proves
-# the vector path against the same oracles wherever the CPU has it; on a
-# host without AVX2+FMA it is skipped (PPSTAP_SIMD=avx2 would throw, by
-# design). micro_kernels then asserts the >= 2x geomean kernel speedup and
-# the >= 1.3x pipeline-analogue gate in its exit code, and bench_compare
-# diffs the roofline numbers at the end (skipping automatically when the
-# baseline's simd level differs from this host's).
-PPSTAP_SIMD=scalar ./build/tests/test_kernels
-if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
-  PPSTAP_SIMD=avx2 ./build/tests/test_kernels
-else
-  echo "kernels: host lacks AVX2+FMA — forced-AVX2 run skipped"
-fi
-./build/bench/micro_kernels --json BENCH_kernels.json
+tier1() {
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build -j "$JOBS"
+  ctest --test-dir build --output-on-failure -j "$JOBS"
+}
 
-echo "=== build-both-ways: PPSTAP_ENABLE_AVX2=OFF ==="
-# The AVX2 translation unit is optional by build flag, not only by runtime
-# dispatch: a build without it must still compile and pass the kernel and
-# dsp suites (dispatch resolves to scalar and reports compiled_avx2=0).
-cmake -B build-noavx2 -S . -DCMAKE_BUILD_TYPE=Release \
-      -DPPSTAP_ENABLE_AVX2=OFF
-cmake --build build-noavx2 -j "$JOBS" --target test_kernels test_dsp
-ctest --test-dir build-noavx2 --output-on-failure -j "$JOBS" \
-      -R '^(test_kernels|test_dsp)$'
+kernels() {
+  # The portable path is the numerical contract: the kernel suite must
+  # pass with dispatch forced to scalar on every host. The forced-AVX2 run
+  # proves the vector path against the same oracles wherever the CPU has
+  # it; on a host without AVX2+FMA it is skipped (PPSTAP_SIMD=avx2 would
+  # throw, by design). micro_kernels then asserts the >= 2x geomean kernel
+  # speedup and the >= 1.3x pipeline-analogue gate in its exit code, and
+  # bench_compare diffs the roofline numbers at the end (skipping
+  # automatically when the baseline's simd level differs from this host's).
+  PPSTAP_SIMD=scalar ./build/tests/test_kernels
+  if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+    PPSTAP_SIMD=avx2 ./build/tests/test_kernels
+  else
+    echo "kernels: host lacks AVX2+FMA — forced-AVX2 run skipped"
+  fi
+  ./build/bench/micro_kernels --json BENCH_kernels.json
+}
 
-echo "=== stapbench: traced stream workloads (exact CPIs, reconciled trace) ==="
-for workload in stream_paper stream_small_guarded; do
-  python3 stapbench/run.py --workload "$workload" --seed 1 --seconds 5 \
-    --trace 1
+noavx2() {
+  # The AVX2 translation unit is optional by build flag, not only by
+  # runtime dispatch: a build without it must still compile and pass the
+  # kernel and dsp suites (dispatch resolves to scalar and reports
+  # compiled_avx2=0).
+  cmake -B build-noavx2 -S . -DCMAKE_BUILD_TYPE=Release \
+        -DPPSTAP_ENABLE_AVX2=OFF
+  cmake --build build-noavx2 -j "$JOBS" --target test_kernels test_dsp
+  ctest --test-dir build-noavx2 --output-on-failure -j "$JOBS" \
+        -R '^(test_kernels|test_dsp)$'
+}
+
+stapbench_smoke() {
+  for workload in stream_paper stream_small_guarded; do
+    python3 stapbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+      --trace 1
+  done
+}
+
+table8() {
+  PPSTAP_TRACE=1 PPSTAP_TRACE_FILE=trace_table8.json \
+    ./build/bench/table8_throughput_latency --json BENCH_table8.json
+}
+
+notrace() {
+  cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
+        -DPPSTAP_ENABLE_TRACING=OFF
+  cmake --build build-notrace -j "$JOBS"
+  ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
+}
+
+tsan() {
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+        -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build build-tsan -j "$JOBS" \
+        --target test_comm test_collectives test_core test_fault_tolerance \
+                 test_elastic test_synth test_integrity test_overload \
+                 test_checkpoint
+  TSAN_OPTIONS="halt_on_error=1" \
+  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+        -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_synth|test_integrity|test_overload|test_checkpoint)$'
+}
+
+asan() {
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+        -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build build-asan -j "$JOBS" \
+        --target test_comm test_collectives test_core test_sim \
+                 test_pipeline_properties test_beam_cycling \
+                 test_fault_tolerance test_overload test_kernels
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
+        -L 'comm|core|fault|overload|kernels'
+}
+
+overload() {
+  ./build/bench/ext_overload --json BENCH_overload.json
+}
+
+abft() {
+  cmake --build build-asan -j "$JOBS" --target test_integrity
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L abft
+  ./build/bench/ext_abft --json BENCH_abft.json
+}
+
+elastic() {
+  ./build/bench/ext_elastic --json BENCH_elastic.json
+}
+
+survivability() {
+  cmake --build build-tsan -j "$JOBS" --target ext_survivability
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/ext_survivability --smoke
+  ./build/bench/ext_survivability --json BENCH_survivability.json
+}
+
+grayfail() {
+  cmake --build build-tsan -j "$JOBS" --target test_health ext_grayfail
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_health
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/ext_grayfail --smoke
+  ./build/bench/ext_grayfail --json BENCH_grayfail.json
+}
+
+analyzer() {
+  ./build/tools/ppstap-analyze trace_table8.json \
+    --assert-verdict --assert-no-drops \
+    --expect-gating "Doppler filter processing" \
+    --per-rank-health --assert-no-stragglers
+  python3 scripts/bench_compare.py --self-test
+}
+
+stage "tier-1: build + ctest (tracing ON)" tier1
+stage "kernels: SIMD dispatch A/B + roofline gates (BENCH_kernels.json)" kernels
+stage "build-both-ways: PPSTAP_ENABLE_AVX2=OFF" noavx2
+stage "stapbench: traced stream workloads (exact CPIs, reconciled trace)" \
+      stapbench_smoke
+stage "bench baseline: BENCH_table8.json (traced)" table8
+stage "build-both-ways: PPSTAP_ENABLE_TRACING=OFF" notrace
+stage "TSan: comm + core + fault tolerance + elastic migration + synth + integrity + overload + checkpoint" \
+      tsan
+stage "ASan+UBSan: comm + core + fault + overload" asan
+stage "bench: overload ladder vs shed-only (BENCH_overload.json)" overload
+stage "ABFT: integrity suite under ASan + BENCH_abft.json" abft
+stage "elastic: live migration gates + chaos (BENCH_elastic.json)" elastic
+stage "survivability: TSan smoke + full soak (BENCH_survivability.json)" \
+      survivability
+stage "gray-failure: TSan detector smoke + chaos suite (BENCH_grayfail.json)" \
+      grayfail
+stage "analyzer verdict + bench_compare self-test" analyzer
+for bench in table8 overload abft elastic survivability kernels grayfail; do
+  compare_one() {
+    python3 scripts/bench_compare.py "bench/baselines/BENCH_$bench.json" \
+      "BENCH_$bench.json"
+  }
+  stage "perf regression gate: BENCH_$bench.json vs baseline" compare_one
 done
 
-echo "=== bench baseline: BENCH_table8.json (traced) ==="
-PPSTAP_TRACE=1 PPSTAP_TRACE_FILE=trace_table8.json \
-  ./build/bench/table8_throughput_latency --json BENCH_table8.json
-
-echo "=== build-both-ways: PPSTAP_ENABLE_TRACING=OFF ==="
-cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
-      -DPPSTAP_ENABLE_TRACING=OFF
-cmake --build build-notrace -j "$JOBS"
-ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
-
-echo "=== TSan: comm + core + fault tolerance + elastic migration + synth + integrity + overload + checkpoint ==="
-cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build build-tsan -j "$JOBS" \
-      --target test_comm test_collectives test_core test_fault_tolerance \
-               test_elastic test_synth test_integrity test_overload \
-               test_checkpoint
-TSAN_OPTIONS="halt_on_error=1" \
-ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_synth|test_integrity|test_overload|test_checkpoint)$'
-
-echo "=== ASan+UBSan: comm + core + fault + overload ==="
-cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build build-asan -j "$JOBS" \
-      --target test_comm test_collectives test_core test_sim \
-               test_pipeline_properties test_beam_cycling \
-               test_fault_tolerance test_overload test_kernels
-ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'comm|core|fault|overload|kernels'
-
-echo "=== bench: overload ladder vs shed-only (BENCH_overload.json) ==="
-./build/bench/ext_overload --json BENCH_overload.json
-
-echo "=== ABFT: integrity suite under ASan + BENCH_abft.json ==="
-cmake --build build-asan -j "$JOBS" --target test_integrity
-ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L abft
-./build/bench/ext_abft --json BENCH_abft.json
-
-echo "=== elastic: live migration gates + chaos (BENCH_elastic.json) ==="
-./build/bench/ext_elastic --json BENCH_elastic.json
-
-echo "=== survivability: TSan smoke + full soak (BENCH_survivability.json) ==="
-cmake --build build-tsan -j "$JOBS" --target ext_survivability
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/ext_survivability --smoke
-./build/bench/ext_survivability --json BENCH_survivability.json
-
-echo "=== gray-failure: TSan detector smoke + chaos suite (BENCH_grayfail.json) ==="
-cmake --build build-tsan -j "$JOBS" --target test_health ext_grayfail
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_health
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/ext_grayfail --smoke
-./build/bench/ext_grayfail --json BENCH_grayfail.json
-
-echo "=== analyzer verdict + perf regression gate ==="
-./build/tools/ppstap-analyze trace_table8.json \
-  --assert-verdict --assert-no-drops \
-  --expect-gating "Doppler filter processing" \
-  --per-rank-health --assert-no-stragglers
-python3 scripts/bench_compare.py --self-test
-python3 scripts/bench_compare.py bench/baselines/BENCH_table8.json BENCH_table8.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_overload.json BENCH_overload.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_abft.json BENCH_abft.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_elastic.json BENCH_elastic.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_survivability.json BENCH_survivability.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_kernels.json BENCH_kernels.json
-python3 scripts/bench_compare.py bench/baselines/BENCH_grayfail.json BENCH_grayfail.json
-
+if [ "${#FAILED[@]}" -gt 0 ]; then
+  echo "ci.sh: ${#FAILED[@]} stage(s) failed:"
+  printf '  %s\n' "${FAILED[@]}"
+  exit 1
+fi
 echo "ci.sh: all checks passed"

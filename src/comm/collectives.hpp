@@ -19,6 +19,14 @@
 
 namespace ppstap::comm {
 
+/// The next (src, tag) message as a vector of T.
+template <typename T>
+std::vector<T> recv_vector(Comm& c, int src, int tag) {
+  const Frame f = c.recv(src, tag);
+  const auto v = f.as<T>();
+  return {v.begin(), v.end()};
+}
+
 /// Root's `data` is copied to every rank; other ranks' `data` is replaced.
 /// Each collective emits one obs span per participating rank carrying the
 /// local payload bytes and the participant count.
@@ -31,7 +39,7 @@ void broadcast(Comm& c, int root, std::vector<T>& data, int tag) {
     for (int r = 0; r < c.size(); ++r)
       if (r != root) c.send<T>(r, tag, data);
   } else {
-    data = c.recv<T>(root, tag);
+    data = recv_vector<T>(c, root, tag);
   }
   span.set_bytes(static_cast<std::int64_t>(data.size() * sizeof(T)));
 }
@@ -50,7 +58,7 @@ std::vector<std::vector<T>> gather(Comm& c, int root,
     out.resize(static_cast<size_t>(c.size()));
     out[static_cast<size_t>(root)].assign(mine.begin(), mine.end());
     for (int r = 0; r < c.size(); ++r)
-      if (r != root) out[static_cast<size_t>(r)] = c.recv<T>(r, tag);
+      if (r != root) out[static_cast<size_t>(r)] = recv_vector<T>(c, r, tag);
   } else {
     c.send<T>(root, tag, mine);
   }
@@ -105,7 +113,7 @@ std::vector<std::vector<T>> all_to_all(Comm& c,
     c.send<T>(r, tag, std::span<const T>(send[static_cast<size_t>(r)]));
   std::vector<std::vector<T>> out(static_cast<size_t>(c.size()));
   for (int r = 0; r < c.size(); ++r)
-    out[static_cast<size_t>(r)] = c.recv<T>(r, tag);
+    out[static_cast<size_t>(r)] = recv_vector<T>(c, r, tag);
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -27,10 +26,8 @@ Clock::duration to_duration(double seconds) {
 }
 
 /// Deterministically flip one byte of a nonempty payload.
-void corrupt_copy(std::vector<std::byte>& bytes, std::uint64_t salt) {
-  const std::size_t idx =
-      static_cast<std::size_t>(salt * 0x9e3779b97f4a7c15ull % bytes.size());
-  bytes[idx] ^= std::byte{0x40};
+void corrupt(Buffer& b, std::uint64_t salt) {
+  b.data()[salt * 0x9e3779b97f4a7c15ull % b.size()] ^= std::byte{0x40};
 }
 
 /// The histogram bucket for a frame's tag: data edges map to their slot,
@@ -44,7 +41,7 @@ int retry_bucket(int tag) {
 
 }  // namespace
 
-struct World::Frame {
+struct World::Envelope {
   int src = -1;
   int tag = 0;
   /// Per-(src, dest) ordinal, assigned under the destination mailbox lock.
@@ -56,10 +53,11 @@ struct World::Frame {
   /// The frame is invisible to receivers before this instant (injected
   /// in-flight latency; frames are still delivered FIFO per (src, tag)).
   Clock::time_point deliver_at{};
-  std::vector<std::byte> bytes;
-  /// Uncorrupted original, kept only when a corrupt rule fired, so the
-  /// receiver's retransmission path has something to refetch.
-  std::vector<std::byte> pristine;
+  Frame payload;
+  /// The sender's untouched buffer, kept only when a corrupt rule fired
+  /// (the payload is then a corrupted copy), so the receiver's
+  /// retransmission path has something to refetch.
+  Frame pristine;
   /// Piggybacked causal trace context (never part of the payload bytes).
   FlowContext flow;
   bool has_flow = false;
@@ -68,7 +66,7 @@ struct World::Frame {
 struct World::Mailbox {
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<Frame> frames;
+  std::deque<Envelope> frames;
   std::size_t buffered_bytes = 0;
   /// Next sequence number per source rank.
   std::vector<std::uint64_t> next_seq;
@@ -132,11 +130,7 @@ void World::set_recoverable(int rank, bool flag) {
   // full recovery deadline: their predicate re-reads `recoverable` and now
   // resolves to a prompt dead-peer status instead of a wait nobody will
   // ever satisfy.
-  shared_->cv.notify_all();
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
+  wake_all();
 }
 
 bool World::rank_dead(int rank) const {
@@ -157,6 +151,21 @@ double World::death_time(int rank) const {
   return shared_->death_time[static_cast<size_t>(rank)];
 }
 
+std::size_t World::buffered_bytes(int rank) const {
+  PPSTAP_REQUIRE(rank >= 0 && rank < num_ranks_, "invalid rank");
+  Mailbox& box = *boxes_[static_cast<size_t>(rank)];
+  std::lock_guard<std::mutex> lock(box.mu);
+  return box.buffered_bytes;
+}
+
+void World::wake_all() {
+  shared_->cv.notify_all();
+  for (auto& box : boxes_) {
+    std::lock_guard<std::mutex> lock(box->mu);
+    box->cv.notify_all();
+  }
+}
+
 void World::abort_world() {
   // Flight recorder: capture the span ring before the abort propagates and
   // every blocked rank starts throwing (no-op unless armed).
@@ -165,11 +174,7 @@ void World::abort_world() {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->aborted.store(true, std::memory_order_release);
   }
-  shared_->cv.notify_all();
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
+  wake_all();
 }
 
 void World::request_abort(const std::string& why) {
@@ -195,11 +200,7 @@ void World::mark_dead(int rank) {
       ++shared_->barrier_generation;
     }
   }
-  shared_->cv.notify_all();
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
+  wake_all();
 }
 
 std::optional<int> World::wait_for_death(double timeout_seconds) {
@@ -236,11 +237,7 @@ void World::do_take_over(Comm& c, int dead_rank) {
     shared_->live += 1;
     c.rank_ = dead_rank;
   }
-  shared_->cv.notify_all();
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
+  wake_all();
 }
 
 void World::run(const std::function<void(Comm&)>& fn) {
@@ -307,26 +304,31 @@ void World::run(const std::function<void(Comm&)>& fn) {
 
 int Comm::size() const { return world_->size(); }
 
-void Comm::send_bytes(int dest, int tag, std::span<const std::byte> bytes,
-                      const FlowContext* flow) {
-  world_->do_send(*this, dest, tag, bytes, /*marker=*/false, flow);
+void Comm::send(int dest, int tag, Buffer&& payload, const FlowContext* flow) {
+  world_->do_send(*this, dest, tag, std::move(payload), /*marker=*/false,
+                  flow);
 }
 
 void Comm::send_marker(int dest, int tag) {
-  world_->do_send(*this, dest, tag, {}, /*marker=*/true, /*flow=*/nullptr);
+  world_->do_send(*this, dest, tag, Buffer(), /*marker=*/true,
+                  /*flow=*/nullptr);
 }
 
-std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
-  return world_->do_recv(*this, src, tag, /*timeout=*/nullptr).bytes;
+Frame Comm::recv(int src, int tag) {
+  return world_->do_recv(*this, src, tag, /*timeout=*/nullptr).frame;
 }
 
-RecvResult Comm::recv_bytes_for(int src, int tag, double timeout_seconds) {
+RecvResult Comm::recv_for(int src, int tag, double timeout_seconds) {
   PPSTAP_REQUIRE(timeout_seconds >= 0.0, "timeout must be non-negative");
   return world_->do_recv(*this, src, tag, &timeout_seconds);
 }
 
-std::optional<std::vector<std::byte>> Comm::try_recv_bytes(int src, int tag) {
-  return world_->do_try_recv(*this, src, tag);
+std::optional<Frame> Comm::try_recv(int src, int tag) {
+  RecvResult r = recv_for(src, tag, 0.0);
+  PPSTAP_CHECK(r.status != RecvStatus::kCorrupt,
+               "frame corruption persisted past the retransmission budget");
+  if (r.status != RecvStatus::kOk) return std::nullopt;
+  return std::move(r.frame);
 }
 
 std::size_t Comm::discard(int src, int tag) {
@@ -337,15 +339,26 @@ void Comm::take_over(int dead_rank) { world_->do_take_over(*this, dead_rank); }
 
 void Comm::barrier() { world_->do_barrier(); }
 
-void World::do_send(Comm& c, int dest, int tag,
-                    std::span<const std::byte> bytes, bool marker,
-                    const FlowContext* flow) {
+Buffer World::copy_payload(Comm& c, const Frame& src, int tag) {
+  c.stats_.copied_bytes[static_cast<size_t>(retry_bucket(tag))] +=
+      src.size();
+  return src.clone();
+}
+
+void World::do_send(Comm& c, int dest, int tag, Buffer&& payload,
+                    bool marker, const FlowContext* flow) {
   PPSTAP_REQUIRE(dest >= 0 && dest < num_ranks_, "invalid destination rank");
   if (plan_ && plan_->kill_due(FaultPoint::kSend, c.rank(), dest, tag))
     throw RankKilled(c.rank());
   // Stamped before the mailbox lock so flow-control blocking is charged to
   // the frame's transport interval, like a congested interconnect.
   const double flow_sent = flow ? WallTimer::now() : 0.0;
+  Envelope f;
+  f.payload = Frame(std::move(payload));
+  // The send checksum reads the payload before the mailbox lock is taken:
+  // the lock only ever guards queue bookkeeping, never a pass over bytes.
+  f.checksum = checksum_bytes({f.payload.data(), f.payload.size()});
+  const std::size_t size = f.payload.size();
   const auto di = static_cast<size_t>(dest);
   Mailbox& box = *boxes_[di];
 
@@ -359,14 +372,12 @@ void World::do_send(Comm& c, int dest, int tag,
     if (shared_->dead[di].load(std::memory_order_acquire) &&
         !shared_->recoverable[di].load(std::memory_order_acquire))
       return true;
-    return box.frames.empty() ||
-           box.buffered_bytes + bytes.size() <= capacity_;
+    return box.frames.empty() || box.buffered_bytes + size <= capacity_;
   });
   c.stats_.send_wait_seconds += WallTimer::now() - wait_start;
   if (shared_->aborted.load(std::memory_order_acquire))
     throw Error("comm world aborted during send");
 
-  Frame f;
   f.src = c.rank();
   f.tag = tag;
   f.marker = marker;
@@ -376,38 +387,40 @@ void World::do_send(Comm& c, int dest, int tag,
     f.flow.sent_at = flow_sent;
     f.has_flow = true;
   }
-  c.stats_.bytes_sent += bytes.size();
+  c.stats_.bytes_sent += size;
   c.stats_.messages_sent += 1;
 
   // Black hole: the destination is dead and nobody will revive it. The
   // sender pays for the bytes and moves on (a real interconnect cannot
-  // block forever on a failed node either).
+  // block forever on a failed node either); the buffer goes back to its
+  // pool with `f`.
   if (shared_->dead[di].load(std::memory_order_acquire) &&
       !shared_->recoverable[di].load(std::memory_order_acquire))
     return;
   if (plan_ && plan_->drop_due(f.src, dest, tag, f.seq)) return;
 
-  f.checksum = checksum_bytes(bytes);
-  f.bytes = {bytes.begin(), bytes.end()};
   f.deliver_at = Clock::now();
   if (plan_) {
     const double delay = plan_->delay_due(f.src, dest, tag, f.seq);
     if (delay > 0.0) f.deliver_at += to_duration(delay);
-    if (!f.bytes.empty() &&
+    if (size > 0 &&
         plan_->corrupt_due(f.src, dest, tag, f.seq, /*attempt=*/0)) {
-      f.pristine = f.bytes;
-      corrupt_copy(f.bytes, f.seq);
+      f.pristine = std::move(f.payload);
+      Buffer copy = copy_payload(c, f.pristine, tag);
+      corrupt(copy, f.seq);
+      f.payload = Frame(std::move(copy));
     }
   }
-  box.buffered_bytes += f.bytes.size();
+  box.buffered_bytes += size;
   // kDuplicate: enqueue a second copy with the *same* seq (optionally
   // delayed further). The receiver's idempotence ledger must drop it; the
   // injected copy deliberately bypasses the seq allocator above.
   double dup_extra = 0.0;
   if (plan_ && plan_->duplicate_due(f.src, dest, tag, f.seq, &dup_extra)) {
-    Frame dup = f;
+    Envelope dup = f;
+    dup.payload = Frame(copy_payload(c, f.payload, tag));
     dup.deliver_at = f.deliver_at + to_duration(dup_extra);
-    box.buffered_bytes += dup.bytes.size();
+    box.buffered_bytes += size;
     box.frames.push_back(std::move(f));
     box.frames.push_back(std::move(dup));
   } else {
@@ -417,8 +430,8 @@ void World::do_send(Comm& c, int dest, int tag,
   box.cv.notify_all();
 }
 
-std::optional<std::vector<std::byte>> World::finalize_frame(
-    Comm& c, Frame&& f, bool allow_corrupt_failure) {
+std::optional<Frame> World::finalize_frame(Comm& c, Envelope&& f,
+                                           bool allow_corrupt_failure) {
   // Runs with no locks held. A checksum mismatch (only possible under an
   // injected corruption) triggers the retransmission path: refetch the
   // sender-side pristine copy with jittered exponential backoff (the shared
@@ -432,7 +445,7 @@ std::optional<std::vector<std::byte>> World::finalize_frame(
       f.seq + (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.tag))
                << 24) +
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.src)) << 56);
-  while (checksum_bytes(f.bytes) != f.checksum) {
+  while (checksum_bytes({f.payload.data(), f.payload.size()}) != f.checksum) {
     ++attempt;
     c.stats_.retransmissions += 1;
     if (attempt > kMaxRetransmitAttempts) {
@@ -444,17 +457,16 @@ std::optional<std::vector<std::byte>> World::finalize_frame(
     }
     std::this_thread::sleep_for(std::chrono::duration<double>(
         Backoff::retry_delay(attempt, retry_salt)));
-    f.bytes = f.pristine;
-    if (plan_ && !f.bytes.empty() &&
-        plan_->corrupt_due(f.src, c.rank(), f.tag, f.seq, attempt)) {
-      corrupt_copy(f.bytes, f.seq + static_cast<std::uint64_t>(attempt));
-    }
+    Buffer copy = copy_payload(c, f.pristine, f.tag);
+    if (plan_ && plan_->corrupt_due(f.src, c.rank(), f.tag, f.seq, attempt))
+      corrupt(copy, f.seq + static_cast<std::uint64_t>(attempt));
+    f.payload = Frame(std::move(copy));
   }
   if (attempt > 0) {
     c.stats_.retry_histogram[static_cast<size_t>(retry_bucket(f.tag))]
                             [attempt - 1] += 1;
   }
-  c.stats_.bytes_received += f.bytes.size();
+  c.stats_.bytes_received += f.payload.size();
   c.stats_.messages_received += 1;
   if (f.has_flow && obs::tracing_enabled()) {
     // One "xfer" flow span per delivered frame: [send start, consumption].
@@ -464,30 +476,29 @@ std::optional<std::vector<std::byte>> World::finalize_frame(
     const double arrival = std::min(
         now,
         std::chrono::duration<double>(f.deliver_at.time_since_epoch()).count());
-    obs::Span sp;
-    sp.name = "xfer";
-    sp.category = "flow";
-    sp.rank = c.rank();
-    sp.task = obs::kFlowTrack;
-    sp.cpi = f.flow.cpi;
-    sp.t_start = f.flow.sent_at;
-    sp.t_end = now;
-    sp.bytes = static_cast<std::int64_t>(f.bytes.size());
-    sp.src_rank = f.src;
-    sp.src_task = f.flow.task;
-    sp.edge = f.flow.edge;
-    sp.hop = f.flow.hop;
-    sp.queue_s = std::max(0.0, now - std::max(arrival, f.flow.sent_at));
-    obs::emit(sp);
+    obs::emit({.name = "xfer",
+               .category = "flow",
+               .rank = c.rank(),
+               .task = obs::kFlowTrack,
+               .cpi = f.flow.cpi,
+               .t_start = f.flow.sent_at,
+               .t_end = now,
+               .bytes = static_cast<std::int64_t>(f.payload.size()),
+               .src_rank = f.src,
+               .src_task = f.flow.task,
+               .edge = f.flow.edge,
+               .hop = f.flow.hop,
+               .queue_s =
+                   std::max(0.0, now - std::max(arrival, f.flow.sent_at))});
   }
-  return std::move(f.bytes);
+  return std::move(f.payload);
 }
 
 void World::sweep_duplicates(Comm& c, Mailbox& box, int src,
                              std::uint64_t seq) {
   for (auto it = box.frames.begin(); it != box.frames.end();) {
     if (it->src == src && it->seq == seq) {
-      box.buffered_bytes -= it->bytes.size();
+      box.buffered_bytes -= it->payload.size();
       it = box.frames.erase(it);
       c.stats_.dup_discarded += 1;
     } else {
@@ -521,7 +532,7 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
     for (auto it = box.frames.begin(); it != box.frames.end();) {
       if (it->src == src && it->tag == tag) {
         if (box.delivered[si].count(it->seq) != 0) {
-          box.buffered_bytes -= it->bytes.size();
+          box.buffered_bytes -= it->payload.size();
           it = box.frames.erase(it);
           c.stats_.dup_discarded += 1;
           continue;
@@ -533,22 +544,20 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
     }
     const auto now = Clock::now();
     if (match != box.frames.end() && match->deliver_at <= now) {
-      Frame f = std::move(*match);
+      Envelope f = std::move(*match);
       box.delivered[si].insert(f.seq);
-      box.buffered_bytes -= f.bytes.size();
+      box.buffered_bytes -= f.payload.size();
       box.frames.erase(match);
       sweep_duplicates(c, box, src, f.seq);
       c.stats_.recv_wait_seconds += WallTimer::now() - wait_start;
       lock.unlock();
       box.cv.notify_all();  // wake senders blocked on capacity
-      RecvResult r;
-      r.marker = f.marker;
-      auto bytes =
+      const bool marker = f.marker;
+      auto payload =
           finalize_frame(c, std::move(f), /*allow_corrupt_failure=*/
                          timeout != nullptr);
-      if (!bytes) return RecvResult{RecvStatus::kCorrupt, false, {}};
-      r.bytes = std::move(*bytes);
-      return r;
+      if (!payload) return RecvResult{RecvStatus::kCorrupt, false, {}};
+      return RecvResult{RecvStatus::kOk, marker, std::move(*payload)};
     }
     const bool src_dead = shared_->dead[si].load(std::memory_order_acquire);
     if (src_dead &&
@@ -576,44 +585,6 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
   }
 }
 
-std::optional<std::vector<std::byte>> World::do_try_recv(Comm& c, int src,
-                                                         int tag) {
-  PPSTAP_REQUIRE(src >= 0 && src < num_ranks_, "invalid source rank");
-  Mailbox& box = *boxes_[static_cast<size_t>(c.rank())];
-  std::unique_lock<std::mutex> lock(box.mu);
-  if (shared_->aborted.load(std::memory_order_acquire))
-    throw Error("comm world aborted during try_recv");
-  const auto now = Clock::now();
-  const auto si = static_cast<size_t>(src);
-  for (auto it = box.frames.begin(); it != box.frames.end();) {
-    if (it->src != src || it->tag != tag) {
-      ++it;
-      continue;
-    }
-    // Drop re-delivered frames before FIFO matching (same ledger as
-    // do_recv).
-    if (box.delivered[si].count(it->seq) != 0) {
-      box.buffered_bytes -= it->bytes.size();
-      it = box.frames.erase(it);
-      c.stats_.dup_discarded += 1;
-      continue;
-    }
-    // FIFO per (src, tag): a delayed head frame hides its successors.
-    if (it->deliver_at > now) return std::nullopt;
-    Frame f = std::move(*it);
-    box.delivered[si].insert(f.seq);
-    box.buffered_bytes -= f.bytes.size();
-    box.frames.erase(it);
-    sweep_duplicates(c, box, src, f.seq);
-    lock.unlock();
-    box.cv.notify_all();
-    // allow_corrupt_failure=false: persistent corruption throws here, so
-    // the returned optional is engaged whenever a frame matched.
-    return finalize_frame(c, std::move(f), /*allow_corrupt_failure=*/false);
-  }
-  return std::nullopt;
-}
-
 std::size_t World::do_discard(Comm& c, int src, int tag) {
   PPSTAP_REQUIRE(src >= 0 && src < num_ranks_, "invalid source rank");
   Mailbox& box = *boxes_[static_cast<size_t>(c.rank())];
@@ -626,7 +597,7 @@ std::size_t World::do_discard(Comm& c, int src, int tag) {
         // dropped by the idempotence ledger instead of resurrecting a CPI
         // the receiver already shed.
         box.delivered[static_cast<size_t>(src)].insert(it->seq);
-        box.buffered_bytes -= it->bytes.size();
+        box.buffered_bytes -= it->payload.size();
         it = box.frames.erase(it);
         ++dropped;
       } else {

@@ -9,6 +9,11 @@
 // identical to a distributed run, and per-rank byte counters feed the
 // communication-volume checks against the machine model.
 //
+// Owned frames (frame.hpp): send moves the producer's packed Buffer into
+// the destination mailbox and the receiver reads it as a Frame, so the
+// transport copies no payload byte; the paper likewise collects and
+// reorganizes a node's data once and then sends it (§3, Figs. 6-8).
+//
 // Flow control: each rank's mailbox has a byte capacity; senders block when
 // the destination is full (at least one message is always admitted so a
 // single oversized message cannot deadlock). This models the backpressure a
@@ -21,11 +26,13 @@
 // the retransmission path: bounded retries with backoff against the
 // sender-side pristine copy, counted in CommStats::retransmissions. An
 // installed FaultPlan can also delay frames in flight, drop them, or kill
-// a rank at a chosen send/recv.
+// a rank at a chosen send/recv. The corrupted copy, each refetch and a
+// duplicate's second copy are the only payload copies the transport makes
+// (CommStats::copied_bytes).
 //
 // Failure behaviour: a rank that throws RankKilled dies *individually* —
-// peers observe peer-dead (recv_bytes_for returns RecvStatus::kPeerDead,
-// plain recv throws once the mailbox drains, barriers complete over the
+// peers observe peer-dead (recv_for returns RecvStatus::kPeerDead, plain
+// recv throws once the mailbox drains, barriers complete over the
 // surviving ranks) and, if the rank was marked recoverable, a standby can
 // claim the death with wait_for_death() and assume the dead rank's
 // identity (and intact mailbox) with Comm::take_over(). Any other
@@ -45,6 +52,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "comm/frame.hpp"
 #include "common/check.hpp"
 #include "common/types.hpp"
 
@@ -58,9 +66,9 @@ class FaultPlan;
 /// on a deadline receive, fatal otherwise).
 inline constexpr int kMaxRetransmitAttempts = 5;
 
-/// Tag-slot buckets for the per-edge retry histogram: slots 0-8 are the
-/// Fig. 4 data edges (tag = cpi * 16 + slot, see pipeline.cpp tag_for),
-/// bucket 9 aggregates everything else (protocol slots, test traffic).
+/// Tag-slot buckets for the per-edge counters: slots 0-8 are the Fig. 4
+/// data edges (tag = cpi * 16 + slot, see pipeline.cpp tag_for), bucket 9
+/// aggregates everything else (protocol slots, test traffic).
 inline constexpr int kRetryEdgeBuckets = 10;
 
 /// Thrown inside a rank when a FaultPlan kKill rule fires (before the
@@ -94,6 +102,11 @@ struct CommStats {
   std::array<std::array<std::uint64_t, kMaxRetransmitAttempts + 1>,
              kRetryEdgeBuckets>
       retry_histogram{};
+  /// Payload bytes the transport copied, per edge bucket: the corrupted
+  /// copy a corrupt rule delivers, each refetch of the pristine copy, and a
+  /// kDuplicate's second copy (charged to the rank that made the copy).
+  /// All-zero on a fault-free run — frames move, they are not copied.
+  std::array<std::uint64_t, kRetryEdgeBuckets> copied_bytes{};
   /// Seconds this rank spent blocked inside recv waiting for a matching
   /// message to arrive (the queue-wait component of Fig. 10's receive
   /// phase; feeds the per-task queue-wait gauges).
@@ -121,7 +134,7 @@ struct FlowContext {
   double sent_at = 0.0;     ///< WallTimer::now() when the send started
 };
 
-/// Outcome of a deadline receive (Comm::recv_bytes_for).
+/// Outcome of a deadline receive (Comm::recv_for).
 enum class RecvStatus {
   kOk,        ///< payload (or marker) delivered
   kTimeout,   ///< no matching frame arrived within the deadline
@@ -136,21 +149,10 @@ enum class RecvStatus {
 struct RecvResult {
   RecvStatus status = RecvStatus::kOk;
   bool marker = false;
-  std::vector<std::byte> bytes;
+  Frame frame;
 
   /// True only for a regular data delivery.
   bool ok() const { return status == RecvStatus::kOk && !marker; }
-
-  /// Reinterpret the payload as trivially copyable T.
-  template <typename T>
-  std::vector<T> as() const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    PPSTAP_CHECK(bytes.size() % sizeof(T) == 0,
-                 "received byte count not a multiple of element size");
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
 };
 
 /// A rank's handle to the world. Valid only inside World::run's callback,
@@ -160,43 +162,43 @@ class Comm {
   int rank() const { return rank_; }
   int size() const;
 
-  /// Eager buffered send: copies `bytes` into the destination mailbox.
-  /// Blocks only when the destination mailbox is over capacity. When
-  /// `flow` is non-null its trace context rides on the frame (sent_at is
-  /// stamped here) and the receiver emits an obs "xfer" flow span on
+  /// Eager buffered send: moves `payload` into the destination mailbox (no
+  /// copy). Blocks only when the destination mailbox is over capacity.
+  /// When `flow` is non-null its trace context rides on the frame (sent_at
+  /// is stamped here) and the receiver emits an obs "xfer" flow span on
   /// delivery.
-  void send_bytes(int dest, int tag, std::span<const std::byte> bytes,
-                  const FlowContext* flow = nullptr);
+  void send(int dest, int tag, Buffer&& payload,
+            const FlowContext* flow = nullptr);
 
-  /// Blocking receive of the next message matching (src, tag).
-  std::vector<std::byte> recv_bytes(int src, int tag);
-
-  /// Deadline receive: like recv_bytes but gives up after
-  /// `timeout_seconds` (RecvStatus::kTimeout) and reports a dead,
-  /// unrevivable source as RecvStatus::kPeerDead instead of hanging. A
-  /// recoverable dead source is waited on for the full deadline — a spare
-  /// may still take over and produce the message.
-  RecvResult recv_bytes_for(int src, int tag, double timeout_seconds);
-
-  /// Nonblocking probe-and-receive: returns the matching message if one is
-  /// already buffered, std::nullopt otherwise (never blocks).
-  std::optional<std::vector<std::byte>> try_recv_bytes(int src, int tag);
+  /// Send a copy of `data` (packed into a standalone buffer) — for small
+  /// control payloads and tests; data paths pack into pooled buffers.
+  template <typename T>
+  void send(int dest, int tag, std::span<const T> data,
+            const FlowContext* flow = nullptr) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Buffer b(data.size_bytes());
+    if (!data.empty()) std::memcpy(b.data(), data.data(), data.size_bytes());
+    send(dest, tag, std::move(b), flow);
+  }
 
   /// Send a zero-payload control marker (delivered with
   /// RecvResult::marker == true). The pipeline uses it as the "CPI shed"
   /// token propagated downstream in place of data.
   void send_marker(int dest, int tag);
 
-  /// Typed span send for trivially copyable T carrying a trace context.
-  template <typename T>
-  void send(int dest, int tag, std::span<const T> data,
-            const FlowContext* flow) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag,
-               {reinterpret_cast<const std::byte*>(data.data()),
-                data.size() * sizeof(T)},
-               flow);
-  }
+  /// Blocking receive of the next message matching (src, tag).
+  Frame recv(int src, int tag);
+
+  /// Deadline receive: like recv but gives up after `timeout_seconds`
+  /// (RecvStatus::kTimeout) and reports a dead, unrevivable source as
+  /// RecvStatus::kPeerDead instead of hanging. A recoverable dead source is
+  /// waited on for the full deadline — a spare may still take over and
+  /// produce the message.
+  RecvResult recv_for(int src, int tag, double timeout_seconds);
+
+  /// Nonblocking probe-and-receive: returns the matching message if one is
+  /// already deliverable, std::nullopt otherwise (never blocks).
+  std::optional<Frame> try_recv(int src, int tag);
 
   /// Drop every currently buffered frame matching (src, tag) — late
   /// arrivals for a CPI the receiver already shed. Returns the number of
@@ -208,81 +210,6 @@ class Comm {
   /// rank() == dead_rank, pending frames addressed to the dead rank are
   /// receivable, and peers no longer observe the rank as dead.
   void take_over(int dead_rank);
-
-  /// Typed span send for trivially copyable T.
-  template <typename T>
-  void send(int dest, int tag, std::span<const T> data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag,
-               {reinterpret_cast<const std::byte*>(data.data()),
-                data.size() * sizeof(T)});
-  }
-
-  /// Typed receive; validates the byte count is a multiple of sizeof(T).
-  template <typename T>
-  std::vector<T> recv(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = recv_bytes(src, tag);
-    PPSTAP_CHECK(bytes.size() % sizeof(T) == 0,
-                 "received byte count not a multiple of element size");
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
-
-  /// Typed nonblocking receive.
-  template <typename T>
-  std::optional<std::vector<T>> try_recv(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = try_recv_bytes(src, tag);
-    if (!bytes) return std::nullopt;
-    PPSTAP_CHECK(bytes->size() % sizeof(T) == 0,
-                 "received byte count not a multiple of element size");
-    std::vector<T> out(bytes->size() / sizeof(T));
-    if (!bytes->empty()) std::memcpy(out.data(), bytes->data(), bytes->size());
-    return out;
-  }
-
-  /// Posted-receive handle in the style of Fig. 10's asynchronous calls
-  /// (line 6 posts, line 7 waits). Because the runtime buffers eagerly,
-  /// posting is free; the handle packages the (source, tag) match so loop
-  /// code can separate posting from completion like the paper's.
-  template <typename T>
-  class PendingRecv {
-   public:
-    /// True when the message is already deliverable (does not consume it).
-    bool ready() { return result_ || take(); }
-
-    /// Block until the message arrives and return it (line 7).
-    std::vector<T> wait() {
-      if (!result_) result_ = comm_->recv<T>(src_, tag_);
-      auto out = std::move(*result_);
-      result_.reset();
-      done_ = true;
-      return out;
-    }
-
-   private:
-    friend class Comm;
-    PendingRecv(Comm* comm, int src, int tag)
-        : comm_(comm), src_(src), tag_(tag) {}
-    bool take() {
-      if (done_) return false;
-      result_ = comm_->try_recv<T>(src_, tag_);
-      return result_.has_value();
-    }
-    Comm* comm_;
-    int src_;
-    int tag_;
-    bool done_ = false;
-    std::optional<std::vector<T>> result_;
-  };
-
-  /// Post a receive for (src, tag); complete it later with wait().
-  template <typename T>
-  PendingRecv<T> irecv(int src, int tag) {
-    return PendingRecv<T>(this, src, tag);
-  }
 
   /// Global barrier over all live ranks of the world.
   void barrier();
@@ -335,6 +262,10 @@ class World {
   /// subtract from the spare's restore-complete time for recovery stall.
   double death_time(int rank) const;
 
+  /// Payload bytes currently queued in `rank`'s mailbox (the flow-control
+  /// count; duplicates included).
+  std::size_t buffered_bytes(int rank) const;
+
   /// Abort the world from outside the rank callbacks (e.g. a test
   /// watchdog): every blocked operation throws promptly and run() rethrows
   /// an Error carrying `why`.
@@ -352,7 +283,7 @@ class World {
  private:
   friend class Comm;
   struct Mailbox;
-  struct Frame;
+  struct Envelope;
   int num_ranks_;
   std::size_t capacity_;
   FaultPlan* plan_ = nullptr;
@@ -363,8 +294,8 @@ class World {
   struct Shared;
   std::unique_ptr<Shared> shared_;
 
-  void do_send(Comm& c, int dest, int tag, std::span<const std::byte> bytes,
-               bool marker, const FlowContext* flow);
+  void do_send(Comm& c, int dest, int tag, Buffer&& payload, bool marker,
+               const FlowContext* flow);
   RecvResult do_recv(Comm& c, int src, int tag, const double* timeout);
   /// Drop re-delivered copies of a just-consumed frame from the mailbox
   /// (caller holds the mailbox lock). Without this a duplicate whose tag is
@@ -373,17 +304,20 @@ class World {
   /// permanent backpressure.
   static void sweep_duplicates(Comm& c, Mailbox& box, int src,
                                std::uint64_t seq);
-  std::optional<std::vector<std::byte>> do_try_recv(Comm& c, int src,
-                                                    int tag);
   std::size_t do_discard(Comm& c, int src, int tag);
   void do_take_over(Comm& c, int dead_rank);
   void do_barrier();
   // nullopt (budget exhausted) only when allow_corrupt_failure; the plain
-  // recv/try_recv paths keep treating persistent corruption as fatal.
-  std::optional<std::vector<std::byte>> finalize_frame(
-      Comm& c, Frame&& frame, bool allow_corrupt_failure);
+  // recv path keeps treating persistent corruption as fatal.
+  std::optional<Frame> finalize_frame(Comm& c, Envelope&& env,
+                                      bool allow_corrupt_failure);
+  /// A copy of `src` charged to `c`'s copied_bytes on the bucket of `tag`.
+  static Buffer copy_payload(Comm& c, const Frame& src, int tag);
   void mark_dead(int rank);
   void abort_world();
+  /// Wake every waiter: barrier/death waiters and each mailbox's senders
+  /// and receivers, so their predicates re-read liveness and abort state.
+  void wake_all();
 };
 
 }  // namespace ppstap::comm

@@ -391,14 +391,14 @@ void ElasticEngine::collect_votes(comm::Comm& c, Proposal& p) {
     if (p.shrink && r == p.migrating_rank) continue;
     const double remaining = std::max(1e-3, deadline - WallTimer::now());
     const comm::RecvResult res =
-        c.recv_bytes_for(r, vote_tag(p.barrier_cpi), remaining);
+        c.recv_for(r, vote_tag(p.barrier_cpi), remaining);
     if (!res.ok()) {
       reason = res.status == comm::RecvStatus::kPeerDead ? "vote_peer_dead"
                : res.status == comm::RecvStatus::kCorrupt ? "vote_corrupt"
                                                           : "vote_timeout";
       break;
     }
-    const auto votes = res.as<VotePayload>();
+    const auto votes = res.frame.as<VotePayload>();
     if (votes.size() != 1 || votes[0].rank != r ||
         votes[0].attempt != p.attempt ||
         votes[0].barrier_cpi != static_cast<std::int64_t>(p.barrier_cpi) ||
@@ -436,10 +436,10 @@ void ElasticEngine::await_verdict(comm::Comm& c, Proposal& p) {
   // one budget for the slowest voter before it can possibly answer.
   const double budget = 2.0 * cfg_.stall_budget_seconds + 1.0;
   const comm::RecvResult res =
-      c.recv_bytes_for(coordinator_rank_, verdict_tag(p.barrier_cpi), budget);
+      c.recv_for(coordinator_rank_, verdict_tag(p.barrier_cpi), budget);
   int out;
   if (res.ok()) {
-    const auto verdicts = res.as<VerdictPayload>();
+    const auto verdicts = res.frame.as<VerdictPayload>();
     if (verdicts.size() == 1 && verdicts[0].attempt == p.attempt) {
       // The coordinator resolved before sending; this CAS can only read.
       out = resolve(p, verdicts[0].committed != 0 ? kCommitted : kRolledBack,

@@ -21,6 +21,13 @@ namespace ppstap::core {
 struct ParagonParams {
   double startup_s = 35.3e-6;     ///< per-message startup
   double per_byte_s = 6.53e-9;    ///< wire transfer per byte
+  /// The pack and unpack rates model the Paragon's copies: the paper's
+  /// node program collects into a send buffer and places received data
+  /// into its cube. The live in-process pipeline no longer makes all of
+  /// them — frames move into the mailbox without a copy, and a frame that
+  /// already has the consumer's layout is read in place (DESIGN §17) — so
+  /// these rates describe the modelled machine, not the host, and are not
+  /// recalibrated against live runs.
   double pack_per_byte_s = 65e-9;   ///< data collection / reorganization
   double unpack_per_byte_s = 30e-9; ///< receive-side placement
   double input_per_byte_s = 21e-9;  ///< radar front-end ingest (Doppler recv)

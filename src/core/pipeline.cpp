@@ -306,14 +306,6 @@ constexpr size_t digest_elems() {
   return sizeof(std::uint64_t) / sizeof(T);
 }
 
-template <typename T>
-void append_digest(std::vector<T>& buf) {
-  const std::uint64_t d = checksum_of(std::span<const T>(buf));
-  const size_t n = buf.size();
-  buf.resize(n + digest_elems<T>());
-  std::memcpy(static_cast<void*>(buf.data() + n), &d, sizeof d);
-}
-
 // Trace context for a redistribution frame on edge `e` toward the consumer
 // of `cpi` (weight edges pass the consumer's CPI, so the flow lands on the
 // chain that actually uses the weights). Built only when tracing is on.
@@ -340,24 +332,25 @@ void emit_phase_spans(int rank, Task t, index_t cpi, double t0, double t1,
              static_cast<std::int64_t>(send_bytes), -1});
 }
 
-// Deadline-aware receive helper: one per rank, reset per CPI. When
-// inactive every recv is the plain blocking call and behaviour is
-// identical to the fault-free pipeline. The helper must be active whenever
-// *any* upstream task may emit markers — deadline shedding OR overload
-// control — because a plain recv cannot represent a marker (it unpacks to
-// an empty payload and trips the length checks). With shedding enabled,
-// the first recv of a CPI starts the real-time budget; a recv that cannot
-// complete within the remaining budget (or that delivers a shed marker /
-// hits a dead peer / consumes an unrecoverably corrupt frame) returns
-// nullopt, after which the CPI must be shed — unless the caller covers the
-// miss from a fallback (cover(): beamforming's weight cache), in which case
-// the remaining inputs keep the CPI's budget. After an uncovered miss the
-// remaining inputs are still polled with a zero deadline so whatever
-// already arrived is drained, and sources that never delivered go on the
-// stale list — their late frames are discarded at the start of subsequent
-// CPIs. (A kCorrupt frame is already consumed and is NOT staled.) With
-// overload control but no shedding, the budget is effectively infinite:
-// markers are recognized, nothing times out.
+// Deadline-aware receive helper: one per rank, reset per CPI, and every
+// stage's one receive path. With no fault-tolerance, overload or integrity
+// layer armed (inactive) no CPI may shed: the budget is effectively
+// infinite, and an input that cannot arrive (a dead peer, a marker, a frame
+// corrupt past the retransmission budget) is an error. The helper must be
+// active whenever *any* upstream task may emit markers — deadline shedding
+// OR overload control. With shedding enabled, the first recv of a CPI
+// starts the real-time budget; a recv that cannot complete within the
+// remaining budget (or that delivers a shed marker / hits a dead peer /
+// consumes an unrecoverably corrupt frame) returns nullopt, after which the
+// CPI must be shed — unless the caller covers the miss from a fallback
+// (cover(): beamforming's weight cache), in which case the remaining inputs
+// keep the CPI's budget. After an uncovered miss the remaining inputs are
+// still polled with a zero deadline so whatever already arrived is drained,
+// and sources that never delivered go on the stale list — their late frames
+// are discarded at the start of subsequent CPIs. (A kCorrupt frame is
+// already consumed and is NOT staled.) With overload control but no
+// shedding, the budget is effectively infinite: markers are recognized,
+// nothing times out.
 struct FtRecv {
   Comm& c;
   const FaultToleranceConfig& cfg;
@@ -368,7 +361,6 @@ struct FtRecv {
   std::vector<std::pair<int, int>> stale{};  // (src, tag) awaiting discard
 
   void begin() {
-    if (!active) return;
     deadline = WallTimer::now() + budget;
     missed = false;
     for (auto it = stale.begin(); it != stale.end();)
@@ -377,12 +369,10 @@ struct FtRecv {
 
   /// nullopt => marker, timeout, dead peer, or corrupt frame: the CPI
   /// cannot complete.
-  template <typename T>
-  std::optional<std::vector<T>> recv(int src, int tag) {
-    if (!active) return c.recv<T>(src, tag);
+  std::optional<comm::Frame> recv(int src, int tag) {
     const double remaining =
         missed ? 0.0 : std::max(0.0, deadline - WallTimer::now());
-    auto r = c.recv_bytes_for(src, tag, remaining);
+    auto r = c.recv_for(src, tag, remaining);
     if (r.status == comm::RecvStatus::kPeerDead && cfg.heal_shrink) {
       // The dead peer is being healed by a topology shrink: hold the edge
       // to the CPI deadline like any other stall instead of shedding
@@ -395,10 +385,13 @@ struct FtRecv {
       while (r.status == comm::RecvStatus::kPeerDead &&
              WallTimer::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        r = c.recv_bytes_for(src, tag, 0.0);
+        r = c.recv_for(src, tag, 0.0);
       }
     }
-    if (r.ok()) return r.as<T>();
+    if (r.ok()) return std::move(r.frame);
+    if (!active)
+      throw Error("pipeline input from rank " + std::to_string(src) +
+                  " lost with no fault-tolerance layer armed");
     missed = true;
     if (r.status == comm::RecvStatus::kTimeout ||
         r.status == comm::RecvStatus::kPeerDead)
@@ -420,31 +413,29 @@ FtRecv make_ftr(Comm& c, Shared& s) {
   FtRecv f{c, s.ft};
   // Integrity escalations emit shed markers on the regular edges, so every
   // receiver must recognize markers whenever the layer is on. Spare-rank
-  // mode also needs the deadline-aware path (with an effectively infinite
-  // budget): once the spare is consumed, a later weight-rank death is
-  // unrecoverable and a plain recv would block forever, whereas the
-  // deadline recv surfaces a prompt dead-peer status and the CPI sheds.
+  // mode also needs the shed path: once the spare is consumed, a later
+  // weight-rank death is unrecoverable and surfaces as a prompt dead-peer
+  // status, and the CPI sheds.
   f.active = s.ft.any() || s.ctrl != nullptr || s.integ.enabled;
   f.budget = s.ft.shedding ? s.ft.cpi_deadline_seconds : kNoDeadline;
   return f;
 }
 
-// Strip the digest trailing the payload and compare it against the bytes
-// actually delivered; a mismatch is counted and attributed to the producing
-// task. (The transport already checksums every frame, so a mismatch here
-// means the producer's buffer changed between verification and pack, or the
-// redistribution reassembly disagrees with the producer.) Must run before
-// the caller's payload-length checks — it shrinks the buffer back to the
-// payload proper.
+// The payload of a received frame of T, without the digest trailing it when
+// ABFT is on. The digest is compared against the bytes actually delivered;
+// a mismatch is counted and attributed to the producing task. (The
+// transport already checksums every frame, so a mismatch here means the
+// producer's buffer changed between verification and pack, or the
+// redistribution reassembly disagrees with the producer.)
 template <typename T>
-void strip_digest(FtRecv& ftr, Shared& s, int src, std::vector<T>& buf,
-                  index_t cpi) {
-  if (!s.integ.enabled) return;
-  if (buf.size() < digest_elems<T>()) return;
+std::span<const T> payload(FtRecv& ftr, Shared& s, int src,
+                           const comm::Frame& f, index_t cpi) {
+  std::span<const T> buf = f.as<T>();
+  if (!s.integ.enabled || buf.size() < digest_elems<T>()) return buf;
   std::uint64_t d = 0;
   std::memcpy(&d, buf.data() + buf.size() - digest_elems<T>(), sizeof d);
-  buf.resize(buf.size() - digest_elems<T>());
-  if (d == checksum_of(std::span<const T>(buf))) return;
+  buf = buf.first(buf.size() - digest_elems<T>());
+  if (d == checksum_of(buf)) return buf;
   s.integ_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
   const int t = s.task_of_rank(src, cpi);
   if (t >= 0)
@@ -456,6 +447,7 @@ void strip_digest(FtRecv& ftr, Shared& s, int src, std::vector<T>& buf,
                obs::kIntegrityTrack, static_cast<std::int64_t>(cpi), now, now,
                -1, static_cast<std::int64_t>(src)});
   }
+  return buf;
 }
 
 // Gray-failure injection (kSlow): stretch this rank's compute stage by the
@@ -666,24 +658,39 @@ struct StageBase {
   Comm& c;
   Shared& s;
   std::uint64_t sent = 0;  // payload bytes sent for measured CPIs
+  // Frame storage per out-edge: a block comes back to its edge's pool when
+  // the consumer drops the frame, so a steady stream allocates nothing.
+  std::array<comm::BufferPool, kNumPipelineEdges> pools{};
 
-  // Send `buf` on edge `e` to `dest` for consumer CPI `cpi`, the
-  // end-to-end digest appended when ABFT is on.
+  // A frame of `n` elements of T for edge `e`, with room for the
+  // end-to-end digest when ABFT is on. Pack into as<T>().first(n).
   template <typename T>
-  void send_frame(int dest, index_t cpi, SimEdge e, std::vector<T>& buf) {
-    const std::uint64_t n = buf.size() * sizeof(T);
+  comm::Buffer frame(SimEdge e, size_t n) {
+    if (s.integ.enabled) n += digest_elems<T>();
+    return pools[static_cast<size_t>(e)].take(n * sizeof(T));
+  }
+
+  // Send a packed frame on edge `e` to `dest` for consumer CPI `cpi`,
+  // writing the digest into its reserved slot when ABFT is on.
+  template <typename T>
+  void send_frame(int dest, index_t cpi, SimEdge e, comm::Buffer&& buf) {
+    std::span<T> all = buf.as<T>();
+    const size_t n = all.size() - (s.integ.enabled ? digest_elems<T>() : 0);
+    if (s.integ.enabled) {
+      const std::uint64_t d = checksum_of(std::span<const T>(all.first(n)));
+      std::memcpy(static_cast<void*>(all.data() + n), &d, sizeof d);
+    }
     comm::FlowContext fc;
     const comm::FlowContext* flow = nullptr;
     if (obs::tracing_enabled()) {
       fc = flow_for(cpi, e);
       flow = &fc;
     }
-    if (s.integ.enabled) append_digest(buf);
-    c.send<T>(dest, tag_for(cpi, e), buf, flow);
+    c.send(dest, tag_for(cpi, e), std::move(buf), flow);
     if (s.measured(cpi)) {
-      sent += n;
+      sent += n * sizeof(T);
       s.edge_bytes[static_cast<size_t>(e)].fetch_add(
-          n, std::memory_order_relaxed);
+          n * sizeof(T), std::memory_order_relaxed);
     }
   }
 
@@ -820,14 +827,18 @@ struct DopplerStage : StageBase {
     const index_t j = s.p.num_channels;
     const index_t jj = s.p.num_staggered_channels();
     // Weight tasks: the training rows at one item's training cells inside
-    // this slab.
-    auto pack_training = [&](std::vector<cfloat>& buf,
-                             const std::vector<index_t>& cells, index_t bin,
-                             index_t nch) {
+    // this slab, `nch` channels each.
+    auto in_slab = [&](index_t cell) { return cell >= k0 && cell < k0 + kl; };
+    auto rows_in_slab = [&](const std::vector<index_t>& cells) {
+      return static_cast<size_t>(
+          std::count_if(cells.begin(), cells.end(), in_slab));
+    };
+    auto pack_training = [&](cfloat*& out, const std::vector<index_t>& cells,
+                             index_t bin, index_t nch) {
       for (const index_t cell : cells) {
-        if (cell < k0 || cell >= k0 + kl) continue;
+        if (!in_slab(cell)) continue;
         for (index_t ch = 0; ch < nch; ++ch)
-          buf.push_back(stag.at(cell - k0, ch, bin));
+          *out++ = stag.at(cell - k0, ch, bin);
       }
     };
     // Training is suppressed on the frozen/stale rungs — kFrozenHard stops
@@ -836,41 +847,47 @@ struct DopplerStage : StageBase {
     if (adm.level >= DegradationLevel::kStaleWeights) {
       send_markers(cy, SimEdge::kDopToEasyWt);
     } else {
+      const size_t rows = rows_in_slab(s.easy_cells);
       for (int r = 0; r < tp.count(Task::kEasyWeight); ++r) {
-        std::vector<cfloat> buf;
-        for (const index_t bin : slice(s.easy_bins, tp.part_ewt, r))
-          pack_training(buf, s.easy_cells, bin, j);
-        send_frame(tp.rank_at(Task::kEasyWeight, r), cy.cpi,
-                   SimEdge::kDopToEasyWt, buf);
+        const auto bins = slice(s.easy_bins, tp.part_ewt, r);
+        auto buf = frame<cfloat>(SimEdge::kDopToEasyWt,
+                                 bins.size() * rows * static_cast<size_t>(j));
+        cfloat* out = buf.as<cfloat>().data();
+        for (const index_t bin : bins) pack_training(out, s.easy_cells, bin, j);
+        send_frame<cfloat>(tp.rank_at(Task::kEasyWeight, r), cy.cpi,
+                           SimEdge::kDopToEasyWt, std::move(buf));
       }
     }
     if (adm.level >= DegradationLevel::kFrozenHard) {
       send_markers(cy, SimEdge::kDopToHardWt);
     } else {
       for (int r = 0; r < tp.count(Task::kHardWeight); ++r) {
-        std::vector<cfloat> buf;
-        for (const auto& u : slice(s.hard_units, tp.part_hwu, r))
-          pack_training(buf, s.hard_cells[static_cast<size_t>(u.segment)],
+        const auto units = slice(s.hard_units, tp.part_hwu, r);
+        size_t n = 0;
+        for (const auto& u : units)
+          n += rows_in_slab(s.hard_cells[static_cast<size_t>(u.segment)]) *
+               static_cast<size_t>(jj);
+        auto buf = frame<cfloat>(SimEdge::kDopToHardWt, n);
+        cfloat* out = buf.as<cfloat>().data();
+        for (const auto& u : units)
+          pack_training(out, s.hard_cells[static_cast<size_t>(u.segment)],
                         u.bin, jj);
-        send_frame(tp.rank_at(Task::kHardWeight, r), cy.cpi,
-                   SimEdge::kDopToHardWt, buf);
+        send_frame<cfloat>(tp.rank_at(Task::kHardWeight, r), cy.cpi,
+                           SimEdge::kDopToHardWt, std::move(buf));
       }
     }
     // Beamforming: the full slab for the destination's bins, reorganized
     // to (bin, range, channel) — Fig. 8; the hard group gets both stagger
-    // halves (2J channels). The frame has room for the digest, so
-    // appending it never copies the slab.
+    // halves (2J channels).
     auto send_slab = [&](Task bf, const BlockPartition& part,
                          const std::vector<index_t>& bin_list, index_t nch,
                          SimEdge e) {
       for (int r = 0; r < tp.count(bf); ++r) {
         const auto bins = slice(bin_list, part, r);
-        std::vector<cfloat> buf;
         const size_t n = bins.size() * static_cast<size_t>(kl * nch);
-        buf.reserve(n + digest_elems<cfloat>());
-        buf.resize(n);
-        cube::gather_bins(stag, bins, nch, buf);
-        send_frame(tp.rank_at(bf, r), cy.cpi, e, buf);
+        auto buf = frame<cfloat>(e, n);
+        cube::gather_bins(stag, bins, nch, buf.as<cfloat>().first(n));
+        send_frame<cfloat>(tp.rank_at(bf, r), cy.cpi, e, std::move(buf));
       }
     };
     send_slab(Task::kEasyBeamform, tp.part_ebf, s.easy_bins, j,
@@ -989,21 +1006,21 @@ struct WeightStage : StageBase {
     complete = true;
     for (int d = 0; d < dops; ++d) {
       const int src = cy.tp.rank_at(Task::kDopplerFilter, d);
-      auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, kIn));
-      if (!buf) {
+      const auto f = ftr.recv(src, tag_for(cy.cpi, kIn));
+      if (!f) {
         complete = false;
         continue;
       }
-      strip_digest(ftr, s, src, *buf, cy.cpi);
+      const auto buf = payload<cfloat>(ftr, s, src, *f, cy.cpi);
       size_t off = 0;
       for (size_t i = 0; i < cells.size(); ++i)
         for (const index_t row : rows_from[i][static_cast<size_t>(d)]) {
-          PPSTAP_CHECK(off + static_cast<size_t>(nch) <= buf->size(),
+          PPSTAP_CHECK(off + static_cast<size_t>(nch) <= buf.size(),
                        "short training message");
           for (index_t ch = 0; ch < nch; ++ch)
-            training[i](row, ch) = (*buf)[off++];
+            training[i](row, ch) = buf[off++];
         }
-      PPSTAP_CHECK(off == buf->size(), "training message length");
+      PPSTAP_CHECK(off == buf.size(), "training message length");
     }
     // A shed training block skips the update, never the CPI: the previous
     // weights still flow downstream so beamforming never starves (degraded
@@ -1059,12 +1076,16 @@ struct WeightStage : StageBase {
       const index_t lo = std::max(i0, bf.offset(r) * segs);
       const index_t hi =
           std::min(i0 + il, (bf.offset(r) + bf.length(r)) * segs);
-      std::vector<cfloat> buf;
+      size_t n = 0;
+      for (index_t i = lo; i < hi; ++i)
+        n += static_cast<size_t>(ws[static_cast<size_t>(i - i0)].size());
+      auto buf = frame<cfloat>(kOut, n);
+      cfloat* out = buf.as<cfloat>().data();
       for (index_t i = lo; i < hi; ++i) {
         const auto& wm = ws[static_cast<size_t>(i - i0)];
-        buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
+        out = std::copy_n(wm.data(), wm.size(), out);
       }
-      send_frame(tp0.rank_at(kBf, r), for_cpi, kOut, buf);
+      send_frame<cfloat>(tp0.rank_at(kBf, r), for_cpi, kOut, std::move(buf));
     }
   }
 
@@ -1101,7 +1122,13 @@ struct BeamformStage : StageBase {
   // received for each transmit position.
   std::vector<std::optional<stap::WeightSet>> wcache;
   stap::WeightSet w;
-  cube::CpiCube data, out;
+  // The (bin, range, channel) input: read in place from the one Doppler
+  // frame when a single Doppler rank covers every range cell, else
+  // assembled from the Doppler ranks' slabs.
+  comm::Frame slab;
+  cube::CpiCube assembled;
+  cube::CubeView<cfloat> data;
+  cube::CpiCube out;
 
   BeamformStage(Comm& c, Shared& s, int me, bool hard_in)
       : StageBase{c, s},
@@ -1116,7 +1143,9 @@ struct BeamformStage : StageBase {
         wcache(static_cast<size_t>(s.p.num_beam_positions)) {}
 
   bool recv(const Cycle& cy, FtRecv& ftr) {
-    data = cube::CpiCube();
+    slab = {};
+    assembled = cube::CpiCube();
+    data = {};
     out = cube::CpiCube();
     bool shed = false;
     // Weights for this CPI, sent by the weight task while it processed the
@@ -1129,28 +1158,28 @@ struct BeamformStage : StageBase {
     bool weights_complete = true;
     for (int r = 0; r < tp0.count(wt_task); ++r) {
       const int src = tp0.rank_at(wt_task, r);
-      auto buf = ftr.recv<cfloat>(
+      const auto f = ftr.recv(
           src, tag_for(cy.cpi,
                        hard ? SimEdge::kHardWtToBf : SimEdge::kEasyWtToBf));
-      if (!buf) {
+      if (!f) {
         weights_complete = false;
         continue;
       }
-      strip_digest(ftr, s, src, *buf, cy.cpi);
+      const auto buf = payload<cfloat>(ftr, s, src, *f, cy.cpi);
       size_t off = 0;
       const index_t lo = std::max(wpart.offset(r), b0 * segs);
       const index_t hi =
           std::min(wpart.offset(r) + wpart.length(r), (b0 + bl) * segs);
       for (index_t pos = lo; pos < hi; ++pos) {
         MatrixCF wm(nch, m);
-        PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf->size(),
+        PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf.size(),
                      "short weight message");
-        std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
                     static_cast<size_t>(wm.size()), wm.data());
         off += static_cast<size_t>(wm.size());
         w.weights[static_cast<size_t>(pos - b0 * segs)] = std::move(wm);
       }
-      PPSTAP_CHECK(off == buf->size(), "weight message length");
+      PPSTAP_CHECK(off == buf.size(), "weight message length");
     }
     if (ftr.active) {
       auto& cache =
@@ -1164,28 +1193,38 @@ struct BeamformStage : StageBase {
         shed = true;  // nothing to beamform with yet
     }
 
-    // Doppler data, reassembled into the bin-major (bin, range, channel)
-    // cube of Fig. 8.
-    data = cube::CpiCube(bl, s.p.num_range, nch);
+    // Doppler data in the bin-major (bin, range, channel) layout of Fig. 8.
+    // A frame spanning every range cell already is that cube.
     const SimEdge e = hard ? SimEdge::kDopToHardBf : SimEdge::kDopToEasyBf;
+    const index_t k = s.p.num_range;
     for (int d = 0; d < cy.tp.count(Task::kDopplerFilter); ++d) {
       const int src = cy.tp.rank_at(Task::kDopplerFilter, d);
-      auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, e));
-      if (!buf) {
+      auto f = ftr.recv(src, tag_for(cy.cpi, e));
+      if (!f) {
         shed = true;
         continue;
       }
-      strip_digest(ftr, s, src, *buf, cy.cpi);
+      const auto buf = payload<cfloat>(ftr, s, src, *f, cy.cpi);
       const index_t dk0 = cy.tp.part_k.offset(d);
       const index_t dkl = cy.tp.part_k.length(d);
-      PPSTAP_CHECK(static_cast<index_t>(buf->size()) == bl * dkl * nch,
+      PPSTAP_CHECK(static_cast<index_t>(buf.size()) == bl * dkl * nch,
                    "doppler data message length");
+      if (buf.empty()) continue;
+      if (dkl == k) {
+        data = cube::CubeView<cfloat>({bl, k, nch}, buf.data());
+        slab = std::move(*f);
+        continue;
+      }
+      if (assembled.size() == 0) {
+        assembled = cube::CpiCube(bl, k, nch);
+        data = assembled;
+      }
       size_t off = 0;
       for (index_t b = 0; b < bl; ++b)
         for (index_t kk = 0; kk < dkl; ++kk) {
-          std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+          std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
                       static_cast<size_t>(nch),
-                      data.line(b, dk0 + kk).begin());
+                      assembled.line(b, dk0 + kk).begin());
           off += static_cast<size_t>(nch);
         }
     }
@@ -1212,23 +1251,28 @@ struct BeamformStage : StageBase {
   }
 
   // Route each bin's M x K block to the pulse-compression owner of its
-  // *global* Doppler bin.
+  // *global* Doppler bin. The input frame goes back to the Doppler rank's
+  // pool first, so its next CPI can reuse the block.
   void send(const Cycle& cy) {
+    slab = {};
     const Topology& tp = cy.tp;
+    const SimEdge e = hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc;
+    const auto mk = static_cast<size_t>(s.p.num_beams * s.p.num_range);
     for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
       const index_t g0 = tp.part_pc.offset(r);
       const index_t g1 = g0 + tp.part_pc.length(r);
-      std::vector<cfloat> buf;
+      const auto mine = std::count_if(
+          bins.begin(), bins.end(),
+          [&](index_t g) { return g >= g0 && g < g1; });
+      auto buf = frame<cfloat>(e, static_cast<size_t>(mine) * mk);
+      cfloat* dst = buf.as<cfloat>().data();
       for (index_t b = 0; b < bl; ++b) {
         const index_t gbin = bins[static_cast<size_t>(b)];
-        if (gbin < g0 || gbin >= g1) continue;
-        for (index_t mm = 0; mm < s.p.num_beams; ++mm) {
-          auto line = out.line(b, mm);
-          buf.insert(buf.end(), line.begin(), line.end());
-        }
+        if (gbin >= g0 && gbin < g1)
+          dst = std::copy_n(&out.at(b, 0, 0), mk, dst);
       }
-      send_frame(tp.rank_at(Task::kPulseCompression, r), cy.cpi,
-                 hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc, buf);
+      send_frame<cfloat>(tp.rank_at(Task::kPulseCompression, r), cy.cpi, e,
+                         std::move(buf));
     }
   }
 };
@@ -1266,22 +1310,22 @@ struct PulseCompressionStage : StageBase {
       const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
       for (int r = 0; r < tp0.count(bf_task); ++r) {
         const int src = tp0.rank_at(bf_task, r);
-        auto buf = ftr.recv<cfloat>(src, tag_for(cy.cpi, e));
-        if (!buf) {
+        const auto f = ftr.recv(src, tag_for(cy.cpi, e));
+        if (!f) {
           complete = false;
           continue;
         }
-        strip_digest(ftr, s, src, *buf, cy.cpi);
+        const auto buf = payload<cfloat>(ftr, s, src, *f, cy.cpi);
         size_t off = 0;
         for (const index_t gbin :
              slice(hard ? s.hard_bins : s.easy_bins, part, r)) {
           if (gbin < g0 || gbin >= g0 + gl) continue;
-          PPSTAP_CHECK(off + mk <= buf->size(), "short beamformed message");
-          std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off), mk,
+          PPSTAP_CHECK(off + mk <= buf.size(), "short beamformed message");
+          std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off), mk,
                       &bf.at(gbin - g0, 0, 0));
           off += mk;
         }
-        PPSTAP_CHECK(off == buf->size(), "beamformed message length");
+        PPSTAP_CHECK(off == buf.size(), "beamformed message length");
       }
     }
     return complete;
@@ -1308,12 +1352,12 @@ struct PulseCompressionStage : StageBase {
       const index_t c0 = tp.part_cfar.offset(r);
       const index_t lo = std::max(g0, c0);
       const index_t hi = std::min(g0 + gl, c0 + tp.part_cfar.length(r));
-      std::vector<float> buf;
-      for (index_t bin = lo; bin < hi; ++bin) {
-        const float* src = &power.at(bin - g0, 0, 0);
-        buf.insert(buf.end(), src, src + mk);
-      }
-      send_frame(tp.rank_at(Task::kCfar, r), cy.cpi, SimEdge::kPcToCfar, buf);
+      const auto n = static_cast<size_t>(std::max<index_t>(0, hi - lo) * mk);
+      auto buf = frame<float>(SimEdge::kPcToCfar, n);
+      if (n > 0)
+        std::copy_n(&power.at(lo - g0, 0, 0), n, buf.as<float>().data());
+      send_frame<float>(tp.rank_at(Task::kCfar, r), cy.cpi,
+                        SimEdge::kPcToCfar, std::move(buf));
     }
   }
 };
@@ -1324,20 +1368,26 @@ struct PulseCompressionStage : StageBase {
 struct CfarStage : StageBase {
   index_t c0 = 0, cl = 0;  // owned global bins [c0, c0 + cl)
   std::vector<index_t> my_bins;
-  cube::RealCube power;
+  // The (bin, beam, range) power cube: read in place from a frame that
+  // holds every owned bin (one pulse-compression rank covering them all),
+  // else assembled from the pulse-compression ranks' slices.
+  comm::Frame held;
+  cube::RealCube assembled;
+  cube::CubeView<float> power;
   std::vector<stap::Detection> dets;
 
   CfarStage(Comm& c, Shared& s) : StageBase{c, s} {}
 
   bool recv(const Cycle& cy, FtRecv& ftr) {
     const Topology& tp = cy.tp;
-    const index_t mk = s.p.num_beams * s.p.num_range;
+    const index_t m = s.p.num_beams, k = s.p.num_range;
     c0 = tp.part_cfar.offset(cy.me);
     cl = tp.part_cfar.length(cy.me);
-    power = cube::RealCube();
+    held = {};
+    assembled = cube::RealCube();
+    power = {};
     my_bins.resize(static_cast<size_t>(cl));
     for (index_t i = 0; i < cl; ++i) my_bins[static_cast<size_t>(i)] = c0 + i;
-    power = cube::RealCube(cl, s.p.num_beams, s.p.num_range);
     dets.clear();
     bool complete = true;
     for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
@@ -1345,21 +1395,26 @@ struct CfarStage : StageBase {
       const index_t lo = std::max(c0, g0);
       const index_t hi = std::min(c0 + cl, g0 + tp.part_pc.length(r));
       const int src = tp.rank_at(Task::kPulseCompression, r);
-      auto buf = ftr.recv<float>(src, tag_for(cy.cpi, SimEdge::kPcToCfar));
-      if (!buf) {
+      auto f = ftr.recv(src, tag_for(cy.cpi, SimEdge::kPcToCfar));
+      if (!f) {
         complete = false;
         continue;
       }
-      strip_digest(ftr, s, src, *buf, cy.cpi);
-      PPSTAP_CHECK(static_cast<index_t>(buf->size()) ==
-                       std::max<index_t>(0, hi - lo) * mk,
+      const auto buf = payload<float>(ftr, s, src, *f, cy.cpi);
+      PPSTAP_CHECK(static_cast<index_t>(buf.size()) ==
+                       std::max<index_t>(0, hi - lo) * m * k,
                    "power message length");
-      size_t off = 0;
-      for (index_t bin = lo; bin < hi; ++bin) {
-        std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
-                    static_cast<size_t>(mk), &power.at(bin - c0, 0, 0));
-        off += static_cast<size_t>(mk);
+      if (buf.empty()) continue;
+      if (hi - lo == cl) {
+        power = cube::CubeView<float>({cl, m, k}, buf.data());
+        held = std::move(*f);
+        continue;
       }
+      if (assembled.size() == 0) {
+        assembled = cube::RealCube(cl, m, k);
+        power = assembled;
+      }
+      std::copy(buf.begin(), buf.end(), &assembled.at(lo - c0, 0, 0));
     }
     return complete;
   }
@@ -1377,6 +1432,7 @@ struct CfarStage : StageBase {
   // ABFT check refused — reports no detections; the sink ledgers the drop
   // instead of stalling the stream or publishing wrong detections.
   void send(const Cycle& cy) {
+    held = {};
     if (commit_report(s, cy.tp, cy.cpi, cy.shed, dets) &&
         obs::tracing_enabled())
       obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
@@ -1821,6 +1877,8 @@ PipelineResult ParallelStapPipeline::run(
   for (index_t cpi = 0; cpi < num_cpis; ++cpi)
     if (s.shed[static_cast<size_t>(cpi)])
       result.faults.shed_cpis.push_back(cpi);
+  static_assert(kNumPipelineEdges < comm::kRetryEdgeBuckets,
+                "every pipeline edge needs its own comm edge bucket");
   static_assert(
       std::tuple_size_v<decltype(result.faults.retry_histogram)> ==
           comm::kRetryEdgeBuckets,
@@ -1830,7 +1888,13 @@ PipelineResult ParallelStapPipeline::run(
           decltype(result.faults.retry_histogram)::value_type> ==
           comm::kMaxRetransmitAttempts + 1,
       "fault ledger histogram attempts must mirror the comm layer");
+  std::uint64_t copied = 0;
   for (const auto& st : stats) {
+    for (int e = 0; e < kNumPipelineEdges; ++e) {
+      result.transport_copied_bytes[static_cast<size_t>(e)] +=
+          st.copied_bytes[static_cast<size_t>(e)];
+      copied += st.copied_bytes[static_cast<size_t>(e)];
+    }
     result.faults.retransmissions += st.retransmissions;
     result.faults.dup_discarded += st.dup_discarded;
     for (size_t b = 0; b < st.retry_histogram.size(); ++b)
@@ -1889,6 +1953,14 @@ PipelineResult ParallelStapPipeline::run(
       reg.counter("pipeline.uncovered_failures")
           .add(static_cast<std::uint64_t>(
               result.faults.uncovered_ranks.size()));
+  }
+  if (copied > 0) {
+    reg.counter("comm.copied_bytes").add(copied);
+    for (int e = 0; e < kNumPipelineEdges; ++e)
+      if (result.transport_copied_bytes[static_cast<size_t>(e)] > 0)
+        reg.counter(std::string("comm.copied_bytes.") +
+                    sim_edge_name(static_cast<SimEdge>(e)))
+            .add(result.transport_copied_bytes[static_cast<size_t>(e)]);
   }
   if (ft_.spares > 0)
     reg.counter("spare.poll_wakeups")

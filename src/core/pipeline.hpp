@@ -95,6 +95,13 @@ struct PipelineResult {
   /// edge, indexed like core::SimEdge (sim.hpp).
   std::array<double, kNumPipelineEdges> bytes_per_edge_per_cpi{};
 
+  /// Payload bytes the comm transport copied on each Fig. 4 edge over the
+  /// whole run, indexed like core::SimEdge. Frames move from producer to
+  /// consumer, so this is 0 on every edge of a fault-free run; a corrupt
+  /// rule (the corrupted copy, each refetch) or a duplicate rule (the
+  /// second copy) makes it nonzero.
+  std::array<std::uint64_t, kNumPipelineEdges> transport_copied_bytes{};
+
   /// Shed CPIs, retransmissions, injected faults, failovers. Empty
   /// (faults.clean()) on a fault-free run. Shed CPIs have no detections
   /// and are excluded from the latency averages, but their completion

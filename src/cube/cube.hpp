@@ -17,6 +17,30 @@
 
 namespace ppstap::cube {
 
+/// Read-only view of a dense row-major cube whose storage lives elsewhere:
+/// a Cube, or a received frame that already has the consumer's layout (the
+/// pipeline reads such a frame in place instead of copying it into a cube).
+template <typename T>
+class CubeView {
+ public:
+  CubeView() : n_{0, 0, 0} {}
+  CubeView(std::array<index_t, 3> n, const T* data) : n_(n), data_(data) {}
+
+  index_t extent(int dim) const { return n_[static_cast<size_t>(dim)]; }
+  index_t size() const { return n_[0] * n_[1] * n_[2]; }
+  const T& at(index_t i, index_t j, index_t k) const {
+    return data_[(i * n_[1] + j) * n_[2] + k];
+  }
+  std::span<const T> line(index_t i, index_t j) const {
+    return {data_ + (i * n_[1] + j) * n_[2], static_cast<size_t>(n_[2])};
+  }
+  const T* data() const { return data_; }
+
+ private:
+  std::array<index_t, 3> n_;
+  const T* data_ = nullptr;
+};
+
 /// Dense 3-D array, row-major: element (i, j, k) lives at i*n1*n2 + j*n2 + k,
 /// so dimension 2 is unit stride.
 template <typename T>
@@ -55,6 +79,8 @@ class Cube {
   std::array<index_t, 3> extents() const { return n_; }
 
   bool same_shape(const Cube& o) const { return n_ == o.n_; }
+
+  operator CubeView<T>() const { return {n_, data_.data()}; }
 
  private:
   std::array<index_t, 3> n_;

@@ -13,7 +13,7 @@
 
 namespace ppstap::stap {
 
-cube::CpiCube easy_beamform(const cube::CpiCube& data, const WeightSet& w,
+cube::CpiCube easy_beamform(cube::CubeView<cfloat> data, const WeightSet& w,
                             const StapParams& p, index_t active_beams) {
   const index_t nbins = data.extent(0);
   const index_t k = data.extent(1);
@@ -52,7 +52,7 @@ cube::CpiCube easy_beamform(const cube::CpiCube& data, const WeightSet& w,
   return out;
 }
 
-cube::CpiCube hard_beamform(const cube::CpiCube& data, const WeightSet& w,
+cube::CpiCube hard_beamform(cube::CubeView<cfloat> data, const WeightSet& w,
                             const StapParams& p, index_t active_beams) {
   const index_t nbins = data.extent(0);
   const index_t k = data.extent(1);
@@ -147,7 +147,7 @@ bool cell_checks(const std::vector<cdouble>& csum,
 
 }  // namespace
 
-bool easy_beamform_check(const cube::CpiCube& data, const WeightSet& w,
+bool easy_beamform_check(cube::CubeView<cfloat> data, const WeightSet& w,
                          const StapParams& p, const cube::CpiCube& out,
                          index_t active_beams, double tol) {
   const index_t nbins = data.extent(0);
@@ -171,7 +171,7 @@ bool easy_beamform_check(const cube::CpiCube& data, const WeightSet& w,
   return ok.load(std::memory_order_relaxed);
 }
 
-bool hard_beamform_check(const cube::CpiCube& data, const WeightSet& w,
+bool hard_beamform_check(cube::CubeView<cfloat> data, const WeightSet& w,
                          const StapParams& p, const cube::CpiCube& out,
                          index_t active_beams, double tol) {
   const index_t nbins = data.extent(0);

@@ -23,14 +23,14 @@ namespace ppstap::stap {
 /// `active_beams` (-1 = all) computes only the first `active_beams` receive
 /// beams and leaves the rest zero — the overload ladder's reduced-beam rungs
 /// shed beamforming work proportionally (flops scale with the active count).
-cube::CpiCube easy_beamform(const cube::CpiCube& data, const WeightSet& w,
+cube::CpiCube easy_beamform(cube::CubeView<cfloat> data, const WeightSet& w,
                             const StapParams& p, index_t active_beams = -1);
 
 /// Hard beamforming: `data` is B x K x 2J; `w` holds num_segments matrices
 /// of 2J x M per bin. Weight matrix of segment s applies to range cells
 /// [segment_begin(s), segment_end(s)). Returns B x M x K. `active_beams`
 /// as in easy_beamform.
-cube::CpiCube hard_beamform(const cube::CpiCube& data, const WeightSet& w,
+cube::CpiCube hard_beamform(cube::CubeView<cfloat> data, const WeightSet& w,
                             const StapParams& p, index_t active_beams = -1);
 
 /// ABFT invariant (PR 5): Huang–Abraham column-checksum verification of the
@@ -40,12 +40,12 @@ cube::CpiCube hard_beamform(const cube::CpiCube& data, const WeightSet& w,
 /// J-length dot per cell (~1/M of the kernel's flops) recomputed in double,
 /// so `tol` (relative to the term magnitudes) only absorbs float rounding.
 /// Returns false on the first deviating or non-finite cell.
-bool easy_beamform_check(const cube::CpiCube& data, const WeightSet& w,
+bool easy_beamform_check(cube::CubeView<cfloat> data, const WeightSet& w,
                          const StapParams& p, const cube::CpiCube& out,
                          index_t active_beams, double tol);
 
 /// Same invariant for the segmented hard-bin matmul.
-bool hard_beamform_check(const cube::CpiCube& data, const WeightSet& w,
+bool hard_beamform_check(cube::CubeView<cfloat> data, const WeightSet& w,
                          const StapParams& p, const cube::CpiCube& out,
                          index_t active_beams, double tol);
 

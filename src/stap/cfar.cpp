@@ -10,7 +10,7 @@
 
 namespace ppstap::stap {
 
-std::vector<Detection> cfar_detect(const cube::RealCube& power,
+std::vector<Detection> cfar_detect(cube::CubeView<float> power,
                                    std::span<const index_t> bins,
                                    const StapParams& p) {
   const index_t nbins = power.extent(0);
@@ -82,7 +82,7 @@ std::vector<Detection> cfar_detect(const cube::RealCube& power,
 }
 
 bool verify_detections(std::span<const Detection> dets,
-                       const cube::RealCube& power,
+                       cube::CubeView<float> power,
                        std::span<const index_t> bins, const StapParams& p) {
   const index_t m = power.extent(1);
   const index_t k = power.extent(2);

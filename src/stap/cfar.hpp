@@ -29,7 +29,7 @@ struct Detection {
 /// Run CFAR over a B x M x K power cube whose B rows correspond to the
 /// global Doppler bins listed in `bins`. Detections are ordered by
 /// (bin row, beam, range).
-std::vector<Detection> cfar_detect(const cube::RealCube& power,
+std::vector<Detection> cfar_detect(cube::CubeView<float> power,
                                    std::span<const index_t> bins,
                                    const StapParams& p);
 
@@ -41,7 +41,7 @@ std::vector<Detection> cfar_detect(const cube::RealCube& power,
 /// the cube, reference an owned bin, and the list must be sorted by
 /// (bin row, beam, range). Catches any bit flip in the report buffer.
 bool verify_detections(std::span<const Detection> dets,
-                       const cube::RealCube& power,
+                       cube::CubeView<float> power,
                        std::span<const index_t> bins, const StapParams& p);
 
 }  // namespace ppstap::stap

@@ -23,13 +23,15 @@ TEST(World, PingPong) {
     if (c.rank() == 0) {
       std::vector<int> payload = {1, 2, 3};
       c.send<int>(1, 7, payload);
-      auto echo = c.recv<int>(1, 8);
+      const Frame frame = c.recv(1, 8);
+      const auto echo = frame.as<int>();
       ASSERT_EQ(echo.size(), 3u);
       EXPECT_EQ(echo[2], 6);
     } else {
-      auto got = c.recv<int>(0, 7);
-      for (auto& v : got) v *= 2;
-      c.send<int>(0, 8, got);
+      const Frame got = c.recv(0, 7);
+      std::vector<int> doubled;
+      for (const int v : got.as<int>()) doubled.push_back(2 * v);
+      c.send<int>(0, 8, doubled);
     }
   });
 }
@@ -44,9 +46,9 @@ TEST(World, TagMatchingOutOfOrder) {
       c.send<int>(1, 30, d);
     } else {
       // Receive in reverse tag order: matching must be by tag, not arrival.
-      EXPECT_EQ(c.recv<int>(0, 30)[0], 3);
-      EXPECT_EQ(c.recv<int>(0, 20)[0], 2);
-      EXPECT_EQ(c.recv<int>(0, 10)[0], 1);
+      EXPECT_EQ(c.recv(0, 30).as<int>()[0], 3);
+      EXPECT_EQ(c.recv(0, 20).as<int>()[0], 2);
+      EXPECT_EQ(c.recv(0, 10).as<int>()[0], 1);
     }
   });
 }
@@ -60,7 +62,7 @@ TEST(World, SameTagPreservesFifoPerSource) {
         c.send<int>(1, 5, v);
       }
     } else {
-      for (int i = 0; i < 10; ++i) EXPECT_EQ(c.recv<int>(0, 5)[0], i);
+      for (int i = 0; i < 10; ++i) EXPECT_EQ(c.recv(0, 5).as<int>()[0], i);
     }
   });
 }
@@ -72,7 +74,7 @@ TEST(World, EmptyMessagesAreDelivered) {
       std::vector<int> empty;
       c.send<int>(1, 1, empty);
     } else {
-      EXPECT_TRUE(c.recv<int>(0, 1).empty());
+      EXPECT_TRUE(c.recv(0, 1).as<int>().empty());
     }
   });
 }
@@ -88,7 +90,7 @@ TEST(World, AllToAllPersonalized) {
       c.send<int>(dst, 42, v);
     }
     for (int src = 0; src < n; ++src)
-      EXPECT_EQ(c.recv<int>(src, 42)[0], src * 100 + c.rank());
+      EXPECT_EQ(c.recv(src, 42).as<int>()[0], src * 100 + c.rank());
   });
 }
 
@@ -120,7 +122,7 @@ TEST(World, RankExceptionPropagatesWithoutHanging) {
                  if (c.rank() == 1) throw Error("rank 1 exploded");
                  // Other ranks block on a receive that will never be
                  // satisfied; the abort must wake them.
-                 (void)c.recv<int>(2, 99);
+                 (void)c.recv(2, 99);
                }),
                Error);
 }
@@ -147,7 +149,8 @@ TEST(World, FlowControlThrottlesWithoutDeadlock) {
       }
     } else {
       for (int i = 0; i < count; ++i) {
-        auto v = c.recv<int>(0, 1);
+        const Frame frame = c.recv(0, 1);
+        const auto v = frame.as<int>();
         ASSERT_EQ(v.size(), 16u);
         EXPECT_EQ(v[0], i);
       }
@@ -162,7 +165,7 @@ TEST(World, OversizedMessageStillAdmitted) {
       std::vector<int> big(1000, 7);
       c.send<int>(1, 1, big);
     } else {
-      EXPECT_EQ(c.recv<int>(0, 1).size(), 1000u);
+      EXPECT_EQ(c.recv(0, 1).as<int>().size(), 1000u);
     }
   });
 }
@@ -171,13 +174,13 @@ TEST(World, TryRecvNeverBlocksAndConsumesOnce) {
   World world(2);
   world.run([](Comm& c) {
     if (c.rank() == 0) {
-      EXPECT_FALSE(c.try_recv<int>(1, 5).has_value());  // nothing yet
+      EXPECT_FALSE(c.try_recv(1, 5).has_value());  // nothing yet
       c.barrier();  // rank 1 sends before this barrier
       c.barrier();
-      auto got = c.try_recv<int>(1, 5);
+      auto got = c.try_recv(1, 5);
       ASSERT_TRUE(got.has_value());
-      EXPECT_EQ((*got)[0], 42);
-      EXPECT_FALSE(c.try_recv<int>(1, 5).has_value());  // consumed
+      EXPECT_EQ(got->as<int>()[0], 42);
+      EXPECT_FALSE(c.try_recv(1, 5).has_value());  // consumed
     } else {
       std::vector<int> v = {42};
       c.barrier();
@@ -196,32 +199,8 @@ TEST(World, TryRecvMatchesTagsSelectively) {
       c.barrier();
     } else {
       c.barrier();
-      EXPECT_FALSE(c.try_recv<int>(0, 98).has_value());
-      EXPECT_TRUE(c.try_recv<int>(0, 99).has_value());
-    }
-  });
-}
-
-TEST(World, PendingRecvPostThenWait) {
-  // The Fig. 10 structure: post receives for the next iteration (line 6),
-  // wait for the current one (line 7).
-  World world(2);
-  world.run([](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 3; ++i) {
-        std::vector<int> v = {i * 10};
-        c.send<int>(1, i, v);
-      }
-    } else {
-      auto r0 = c.irecv<int>(0, 0);
-      auto r1 = c.irecv<int>(0, 1);  // posted before r0 completes
-      EXPECT_EQ(r0.wait()[0], 0);
-      EXPECT_EQ(r1.wait()[0], 10);
-      auto r2 = c.irecv<int>(0, 2);
-      // ready() does not consume; wait() still returns the payload.
-      while (!r2.ready()) {
-      }
-      EXPECT_EQ(r2.wait()[0], 20);
+      EXPECT_FALSE(c.try_recv(0, 98).has_value());
+      EXPECT_TRUE(c.try_recv(0, 99).has_value());
     }
   });
 }
@@ -234,8 +213,8 @@ TEST(World, StatsCountBytesAndMessages) {
       c.send<double>(1, 3, v);
       c.send<double>(1, 4, v);
     } else {
-      (void)c.recv<double>(0, 3);
-      (void)c.recv<double>(0, 4);
+      (void)c.recv(0, 3);
+      (void)c.recv(0, 4);
     }
   });
   const auto& stats = world.last_stats();
@@ -253,7 +232,7 @@ TEST(World, ReusableAcrossRuns) {
         std::vector<int> v = {round};
         c.send<int>(1, 0, v);
       } else {
-        EXPECT_EQ(c.recv<int>(0, 0)[0], round);
+        EXPECT_EQ(c.recv(0, 0).as<int>()[0], round);
       }
     });
   }
@@ -273,7 +252,7 @@ TEST(World, SingleRankWorldWorks) {
   world.run([](Comm& c) {
     std::vector<int> v = {42};
     c.send<int>(0, 0, v);  // self-send
-    EXPECT_EQ(c.recv<int>(0, 0)[0], 42);
+    EXPECT_EQ(c.recv(0, 0).as<int>()[0], 42);
     c.barrier();
   });
 }
@@ -289,7 +268,7 @@ TEST(World, ManyRanksStress) {
     for (int step = 0; step < 8; ++step) {
       std::vector<int> v = {token};
       c.send<int>(next, step, v);
-      token = c.recv<int>(prev, step)[0];
+      token = c.recv(prev, step).as<int>()[0];
     }
     // After 8 hops the token originated 8 ranks back.
     EXPECT_EQ(token, (c.rank() + n - 8) % n);
@@ -335,7 +314,7 @@ TEST(WorldAbort, RequestAbortWakesBlockedReceivers) {
   EXPECT_THROW(world.run([](Comm& c) {
                  // Nobody ever sends tag 99: every rank is blocked until
                  // the watchdog aborts the world.
-                 (void)c.recv<int>((c.rank() + 1) % 3, 99);
+                 (void)c.recv((c.rank() + 1) % 3, 99);
                }),
                Error);
   EXPECT_LT(WallTimer::now() - t0, 5.0);
@@ -368,7 +347,7 @@ TEST(WorldAbort, AbortWakesMixedBarrierAndRecvWaiters) {
                  if (c.rank() % 2 == 0)
                    c.barrier();
                  else
-                   (void)c.recv<int>(0, 77);
+                   (void)c.recv(0, 77);
                }),
                Error);
   EXPECT_LT(WallTimer::now() - t0, 5.0);
@@ -383,13 +362,13 @@ TEST(WorldDeadline, RecvForTimesOutThenDelivers) {
   world.run([](Comm& c) {
     if (c.rank() == 0) {
       // Nothing has been sent yet: rank 1 is parked in the barrier.
-      auto r = c.recv_bytes_for(1, 3, 0.02);
+      auto r = c.recv_for(1, 3, 0.02);
       EXPECT_EQ(r.status, RecvStatus::kTimeout);
       c.barrier();
-      auto r2 = c.recv_bytes_for(1, 3, 5.0);
+      auto r2 = c.recv_for(1, 3, 5.0);
       ASSERT_EQ(r2.status, RecvStatus::kOk);
       EXPECT_FALSE(r2.marker);
-      EXPECT_EQ(r2.as<int>()[0], 42);
+      EXPECT_EQ(r2.frame.as<int>()[0], 42);
     } else {
       c.barrier();  // rank 0 has observed the timeout
       std::vector<int> v = {42};
@@ -404,11 +383,11 @@ TEST(WorldDeadline, MarkerDeliveredAsControlFrame) {
     if (c.rank() == 0) {
       c.send_marker(1, 4);
     } else {
-      auto r = c.recv_bytes_for(0, 4, 5.0);
+      auto r = c.recv_for(0, 4, 5.0);
       EXPECT_EQ(r.status, RecvStatus::kOk);
       EXPECT_TRUE(r.marker);
       EXPECT_FALSE(r.ok());
-      EXPECT_TRUE(r.bytes.empty());
+      EXPECT_TRUE(r.frame.empty());
     }
   });
 }
@@ -425,7 +404,7 @@ TEST(WorldDeadline, DiscardDropsAllMatchingFrames) {
       c.barrier();
       EXPECT_EQ(c.discard(0, 6), 3u);
       EXPECT_EQ(c.discard(0, 6), 0u);
-      EXPECT_TRUE(c.try_recv<int>(0, 7).has_value());
+      EXPECT_TRUE(c.try_recv(0, 7).has_value());
     }
   });
 }
@@ -447,9 +426,9 @@ TEST(FaultInjection, DelayHoldsFrameInFlight) {
     } else {
       c.barrier();
       // The frame is buffered but not yet due: invisible to try_recv.
-      EXPECT_FALSE(c.try_recv<int>(0, 7).has_value());
+      EXPECT_FALSE(c.try_recv(0, 7).has_value());
       // The blocking recv waits out the injected latency.
-      EXPECT_EQ(c.recv<int>(0, 7)[0], 5);
+      EXPECT_EQ(c.recv(0, 7).as<int>()[0], 5);
     }
   });
   EXPECT_EQ(plan.stats().delayed, 1u);
@@ -468,7 +447,7 @@ TEST(FaultInjection, DropDiscardsExactlyTheMatchedFrame) {
       c.send<int>(1, 5, a);  // dropped
       c.send<int>(1, 5, b);  // delivered
     } else {
-      EXPECT_EQ(c.recv<int>(0, 5)[0], 2);
+      EXPECT_EQ(c.recv(0, 5).as<int>()[0], 2);
     }
   });
   EXPECT_EQ(plan.stats().dropped, 1u);
@@ -487,7 +466,8 @@ TEST(FaultInjection, CorruptionTriggersRetransmission) {
     } else {
       // Payload must arrive intact: the checksum failure is repaired from
       // the sender-side pristine copy.
-      auto v = c.recv<int>(0, 9);
+      const Frame frame = c.recv(0, 9);
+      const auto v = frame.as<int>();
       ASSERT_EQ(v.size(), 100u);
       for (int i = 0; i < 100; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], i);
     }
@@ -519,8 +499,8 @@ TEST(FaultInjection, SeededCoinIsDeterministic) {
         c.barrier();
       } else {
         c.barrier();  // all sends (and drops) resolved
-        while (auto v = c.try_recv<int>(0, 5))
-          survivors[run].push_back((*v)[0]);
+        while (auto v = c.try_recv(0, 5))
+          survivors[run].push_back(v->as<int>()[0]);
       }
     });
     EXPECT_GT(plan.stats().dropped, 0u);
@@ -540,12 +520,12 @@ TEST(FaultInjection, KillIsPerRankDeathNotGlobalAbort) {
       std::vector<int> v = {1};
       c.send<int>(1, 7, v);
     } else if (c.rank() == 1) {
-      EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
+      EXPECT_THROW((void)c.recv(0, 7), RankKilled);
       throw RankKilled(1);  // rank-level death, observed by World::run
     } else {
       // A peer recv on the dead (unrecoverable) rank reports kPeerDead
       // instead of hanging; sends to it are black-holed, not blocking.
-      auto r = c.recv_bytes_for(1, 8, 5.0);
+      auto r = c.recv_for(1, 8, 5.0);
       EXPECT_EQ(r.status, RecvStatus::kPeerDead);
       std::vector<int> v = {2};
       c.send<int>(1, 9, v);
@@ -570,9 +550,9 @@ TEST(FaultInjection, SpareTakesOverRecoverableDeadRank) {
       c.send<int>(1, 7, v);
       // Plain blocking recv on a recoverable dead rank waits for the
       // spare rather than throwing.
-      EXPECT_EQ(c.recv<int>(1, 8)[0], 22);
+      EXPECT_EQ(c.recv(1, 8).as<int>()[0], 22);
     } else if (c.rank() == 1) {
-      EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
+      EXPECT_THROW((void)c.recv(0, 7), RankKilled);
       throw RankKilled(1);
     } else {
       auto dead = world.wait_for_death(5.0);
@@ -582,7 +562,7 @@ TEST(FaultInjection, SpareTakesOverRecoverableDeadRank) {
       EXPECT_EQ(c.rank(), 1);
       // The dead rank's mailbox is intact; kill_on_recv is exhausted
       // (max_applications = 1), so this recv succeeds.
-      EXPECT_EQ(c.recv<int>(0, 7)[0], 11);
+      EXPECT_EQ(c.recv(0, 7).as<int>()[0], 11);
       std::vector<int> v = {22};
       c.send<int>(0, 8, v);
     }
@@ -617,7 +597,7 @@ TEST(FaultInjection, PlanReplaysIdenticallyAcrossRuns) {
         c.send<int>(1, 5, a);
         c.send<int>(1, 5, b);
       } else {
-        EXPECT_EQ(c.recv<int>(0, 5)[0], 2);
+        EXPECT_EQ(c.recv(0, 5).as<int>()[0], 2);
       }
     });
     EXPECT_EQ(plan.stats().dropped, 1u);
@@ -644,10 +624,10 @@ TEST(FaultInjection, SenderDeathDuringInFlightRetransmission) {
       c.send<int>(1, 9, v);  // poisoned frame, already in flight
       // Handshake recv that kills the sender while rank 1 is still
       // retrying the poisoned frame.
-      EXPECT_THROW((void)c.recv<int>(2, 7), RankKilled);
+      EXPECT_THROW((void)c.recv(2, 7), RankKilled);
       throw RankKilled(0);
     } else if (c.rank() == 1) {
-      auto r = c.recv_bytes_for(0, 9, 5.0);
+      auto r = c.recv_for(0, 9, 5.0);
       EXPECT_EQ(r.status, RecvStatus::kCorrupt);
     } else {
       std::vector<int> go = {1};
@@ -675,7 +655,7 @@ TEST(FaultInjection, SimultaneousMultiRankKillClaimsAreDisjoint) {
   std::atomic<unsigned> claimed_mask{0};
   world.run([&world, &claimed_mask](Comm& c) {
     if (c.rank() == 0 || c.rank() == 1) {
-      EXPECT_THROW((void)c.recv<int>(2, 7), RankKilled);
+      EXPECT_THROW((void)c.recv(2, 7), RankKilled);
       throw RankKilled(c.rank());
     } else if (c.rank() == 2) {
       std::vector<int> v = {1};
@@ -683,8 +663,8 @@ TEST(FaultInjection, SimultaneousMultiRankKillClaimsAreDisjoint) {
       c.send<int>(1, 7, v);
       // Both corpses were claimed and revived: each claimant answers from
       // the rank it took over.
-      EXPECT_EQ(c.recv<int>(0, 8)[0], 100);
-      EXPECT_EQ(c.recv<int>(1, 8)[0], 101);
+      EXPECT_EQ(c.recv(0, 8).as<int>()[0], 100);
+      EXPECT_EQ(c.recv(1, 8).as<int>()[0], 101);
     } else {
       auto dead = world.wait_for_death(5.0);
       ASSERT_TRUE(dead.has_value());
@@ -717,8 +697,8 @@ TEST(FaultInjection, IdleRankDeathAfterCompletionIsClaimedPromptly) {
       c.send<int>(1, 5, v);   // real work
       c.send<int>(1, 99, v);  // late control message, kills on receipt
     } else if (c.rank() == 1) {
-      EXPECT_EQ(c.recv<int>(0, 5)[0], 7);  // stream complete, now idle
-      EXPECT_THROW((void)c.recv<int>(0, 99), RankKilled);
+      EXPECT_EQ(c.recv(0, 5).as<int>()[0], 7);  // stream complete, now idle
+      EXPECT_THROW((void)c.recv(0, 99), RankKilled);
       throw RankKilled(1);
     } else {
       const double t0 = WallTimer::now();
@@ -748,10 +728,10 @@ TEST(FaultInjection, DuplicateIsDeliveredOnceAndDiscarded) {
     } else {
       // Payloads arrive exactly once, in order; the duplicated copy never
       // surfaces as a third message.
-      EXPECT_EQ(c.recv<int>(0, 11)[0], 41);
-      EXPECT_EQ(c.recv<int>(0, 11)[0], 42);
+      EXPECT_EQ(c.recv(0, 11).as<int>()[0], 41);
+      EXPECT_EQ(c.recv(0, 11).as<int>()[0], 42);
       c.barrier();
-      EXPECT_FALSE(c.try_recv<int>(0, 11).has_value());
+      EXPECT_FALSE(c.try_recv(0, 11).has_value());
     }
   });
   // duplicate_message is count-limited: only the first matching frame is
@@ -780,12 +760,12 @@ TEST(FaultInjection, DuplicateStormDeliversEachPayloadOnce) {
       c.barrier();
     } else {
       for (int i = 0; i < kMessages; ++i)
-        EXPECT_EQ(c.recv<int>(0, 5 + 16 * i)[0], 100 + i);
+        EXPECT_EQ(c.recv(0, 5 + 16 * i).as<int>()[0], 100 + i);
       c.barrier();
       // Wait out the duplicates' extra delay, then prove none surfaces.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       for (int i = 0; i < kMessages; ++i)
-        EXPECT_FALSE(c.try_recv<int>(0, 5 + 16 * i).has_value());
+        EXPECT_FALSE(c.try_recv(0, 5 + 16 * i).has_value());
     }
   });
   EXPECT_EQ(plan.stats().duplicated, static_cast<std::uint64_t>(kMessages));
@@ -809,7 +789,7 @@ TEST(FaultInjection, JitterDelaysButDeliversIntact) {
     } else {
       // Blocking recv rides out the heavy-tailed delay; payloads intact.
       for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(c.recv<int>(0, 3 + 16 * i)[0], i);
+        EXPECT_EQ(c.recv(0, 3 + 16 * i).as<int>()[0], i);
     }
   });
   EXPECT_EQ(plan.stats().jittered, 8u);
@@ -864,6 +844,171 @@ TEST(FaultInjection, RankScopedComputeFlipFiresOnlyForItsRank) {
   FaultPlan any;
   any.add_compute(FaultPlan::flip_stage(/*task=*/0, /*cpi=*/3));
   EXPECT_TRUE(any.compute_flip_due(0, 3, /*rank=*/5, 0, &bit));
+}
+
+// ---------------------------------------------------------------------------
+// Owned frames: pooled buffers moved into the mailbox, read in place
+// ---------------------------------------------------------------------------
+
+// A pooled buffer holding `n` ints counting up from `first`.
+Buffer counting(BufferPool& pool, std::size_t n, int first) {
+  Buffer b = pool.take(n * sizeof(int));
+  auto v = b.as<int>();
+  std::iota(v.begin(), v.end(), first);
+  return b;
+}
+
+void expect_counting(const Frame& f, std::size_t n, int first) {
+  const auto v = f.as<int>();
+  ASSERT_EQ(v.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(v[i], first + static_cast<int>(i));
+}
+
+TEST(OwnedFrame, CorruptionWithinTheBudgetDeliversTheSendersBytes) {
+  World world(2);
+  FaultPlan plan;
+  // Tag 1: the original and the first kMax - 1 refetches are corrupted, the
+  // last refetch the budget allows arrives clean. Tag 2: one corruption
+  // more than the budget repairs.
+  plan.add(FaultPlan::corrupt_message(0, 1, 1, kMaxRetransmitAttempts));
+  plan.add(FaultPlan::corrupt_message(0, 1, 2, kMaxRetransmitAttempts + 1));
+  world.set_fault_plan(&plan);
+  BufferPool pool;
+  world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, 1, counting(pool, 256, 1000));
+      c.send(1, 2, counting(pool, 256, 2000));
+    } else {
+      expect_counting(c.recv(0, 1), 256, 1000);
+      EXPECT_EQ(c.recv_for(0, 2, 5.0).status, RecvStatus::kCorrupt);
+    }
+  });
+  const auto& rx = world.last_stats()[1];
+  EXPECT_EQ(rx.retry_histogram[1][kMaxRetransmitAttempts - 1], 1u);
+  EXPECT_EQ(rx.retry_histogram[2][kMaxRetransmitAttempts], 1u);
+  // The sender copied each frame once to corrupt it; every refetch is a
+  // receiver-side copy of the pristine buffer.
+  const std::uint64_t bytes = 256 * sizeof(int);
+  EXPECT_EQ(world.last_stats()[0].copied_bytes[1], bytes);
+  EXPECT_EQ(rx.copied_bytes[1], kMaxRetransmitAttempts * bytes);
+  EXPECT_EQ(rx.copied_bytes[2], kMaxRetransmitAttempts * bytes);
+  EXPECT_EQ(world.buffered_bytes(1), 0u);
+  // Originals, corrupted copies and refetches all came back to the pool.
+  EXPECT_EQ(pool.stats().free, pool.stats().allocated);
+}
+
+TEST(OwnedFrame, DuplicateCopyIsIndependentOfTheOriginal) {
+  World world(2);
+  FaultPlan plan;
+  plan.add(FaultPlan::duplicate_message(0, 1, 1));
+  world.set_fault_plan(&plan);
+  BufferPool pool;
+  const std::size_t n = 64;
+  world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      c.send(1, 1, counting(pool, n, 10));
+      c.barrier();  // both copies queued
+      (void)c.recv(1, 9);  // the original was consumed and dropped
+      // Both blocks are back; overwriting one must not disturb anything
+      // still in flight.
+      EXPECT_EQ(pool.stats().free, 2u);
+      c.send(1, 2, counting(pool, n, 500));
+    } else {
+      c.barrier();
+      EXPECT_EQ(world.buffered_bytes(1), 2 * n * sizeof(int));
+      expect_counting(c.recv(0, 1), n, 10);
+      EXPECT_EQ(world.buffered_bytes(1), 0u);  // the duplicate was swept
+      c.send<int>(0, 9, {});
+      expect_counting(c.recv(0, 2), n, 500);
+      EXPECT_FALSE(c.try_recv(0, 1).has_value());
+    }
+  });
+  EXPECT_EQ(world.last_stats()[1].dup_discarded, 1u);
+  EXPECT_EQ(world.last_stats()[0].copied_bytes[1], n * sizeof(int));
+  EXPECT_EQ(world.last_stats()[0].copied_bytes[2], 0u);
+  EXPECT_EQ(pool.stats().reused, 1u);
+}
+
+TEST(OwnedFrame, PooledBlockIsNotReusedWhileReferenced) {
+  World world(2);
+  BufferPool pool;
+  world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      Buffer a = counting(pool, 32, 0);
+      const std::byte* first = a.data();
+      c.send(1, 1, std::move(a));
+      (void)c.recv(1, 9);  // rank 1 holds the first frame
+      Buffer b = pool.take(32 * sizeof(int));
+      EXPECT_NE(b.data(), first);
+      EXPECT_EQ(pool.stats().allocated, 2u);
+      c.send(1, 2, std::move(b));
+      (void)c.recv(1, 9);  // rank 1 dropped both frames
+      EXPECT_EQ(pool.stats().free, 2u);
+      EXPECT_EQ(pool.take(32 * sizeof(int)).size(), 32 * sizeof(int));
+      EXPECT_EQ(pool.stats().reused, 1u);
+    } else {
+      {
+        const Frame held = c.recv(0, 1);
+        c.send<int>(0, 9, {});
+        (void)c.recv(0, 2);
+        expect_counting(held, 32, 0);  // still intact
+      }
+      c.send<int>(0, 9, {});
+    }
+  });
+  EXPECT_EQ(pool.stats().allocated, 2u);
+}
+
+TEST(OwnedFrame, SendToBlackHoledRankReturnsTheBuffer) {
+  World world(2);
+  FaultPlan plan;
+  plan.add(FaultPlan::kill_on_recv(1, 5));  // rank 1 is not recoverable
+  world.set_fault_plan(&plan);
+  BufferPool pool;
+  world.run([&](Comm& c) {
+    if (c.rank() == 1) {
+      (void)c.recv(0, 5);  // dies here
+      return;
+    }
+    while (!world.rank_dead(1))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    c.send(1, 7, counting(pool, 128, 0));
+    EXPECT_EQ(pool.stats().free, 1u);
+    EXPECT_EQ(c.stats().messages_sent, 1u);
+  });
+  EXPECT_EQ(world.buffered_bytes(1), 0u);
+}
+
+TEST(OwnedFrame, SteadyStreamAllocatesNothingAfterWarmUp) {
+  // Rounds of differently sized frames, as one producer edge sends to
+  // several consumers: after the first round every take is a reuse.
+  World world(2);
+  BufferPool pool;
+  constexpr int kRounds = 20, kPerRound = 4;
+  BufferPool::Stats warm;
+  world.run([&](Comm& c) {
+    for (int round = 0; round < kRounds; ++round) {
+      if (c.rank() == 0) {
+        if (round == 1) warm = pool.stats();
+        for (int i = 0; i < kPerRound; ++i)
+          c.send(1, i, counting(pool, 1024 - 4 * i, round));
+        (void)c.recv(1, 9);
+      } else {
+        for (int i = 0; i < kPerRound; ++i)
+          expect_counting(c.recv(0, i), 1024 - 4 * i, round);
+        c.send<int>(0, 9, {});
+      }
+    }
+  });
+  const auto end = pool.stats();
+  EXPECT_EQ(warm.allocated, static_cast<std::uint64_t>(kPerRound));
+  EXPECT_EQ(end.allocated, warm.allocated);
+  EXPECT_EQ(end.reused, static_cast<std::uint64_t>((kRounds - 1) * kPerRound));
+  EXPECT_EQ(end.free, static_cast<std::size_t>(kPerRound));
+  for (const std::uint64_t b : world.last_stats()[0].copied_bytes)
+    EXPECT_EQ(b, 0u);
+  EXPECT_EQ(world.buffered_bytes(1), 0u);
 }
 
 }  // namespace

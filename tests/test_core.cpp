@@ -14,7 +14,9 @@
 
 #include "core/assignment.hpp"
 #include "core/cpi_source.hpp"
+#include "comm/fault.hpp"
 #include "core/pipeline.hpp"
+#include "core/sim.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
 
@@ -424,6 +426,43 @@ TEST(ParallelPipeline, ReportsTimingAndThroughput) {
   EXPECT_GT(result.bytes_sent_per_cpi[static_cast<size_t>(
                 Task::kDopplerFilter)],
             result.bytes_sent_per_cpi[static_cast<size_t>(Task::kEasyWeight)]);
+}
+
+// Frames move from producer to consumer: a clean run copies no payload byte
+// in the transport on any edge, and only the fault paths — a corrupt
+// rule's corrupted copy and refetch, a duplicate's second copy — show up in
+// the per-edge count, on the edge the rule hit.
+TEST(ParallelPipeline, TransportCopiesOnlyOnFaultPaths) {
+  auto f = Fixture::make();
+  NodeAssignment a{{2, 1, 1, 1, 1, 2, 1}};
+  ScenarioGenerator gen(f.sp);
+  ParallelStapPipeline par(f.p, a, f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  const auto clean = par.run(gen, 4, 1, 1);
+  for (const std::uint64_t b : clean.transport_copied_bytes) EXPECT_EQ(b, 0u);
+
+  constexpr int kTagStride = 16;  // pipeline tag = cpi * 16 + edge
+  auto corrupt = comm::FaultRule{};
+  corrupt.type = comm::FaultType::kCorrupt;
+  corrupt.tag_period = kTagStride;
+  corrupt.tag_phase = static_cast<int>(SimEdge::kDopToHardBf);
+  corrupt.max_applications = 1;
+  const auto dup = comm::FaultPlan::duplicate_edge(
+      static_cast<int>(SimEdge::kPcToCfar), kTagStride, 1.0);
+  for (const auto& [rule, edge] :
+       {std::pair{corrupt, SimEdge::kDopToHardBf},
+        std::pair{dup, SimEdge::kPcToCfar}}) {
+    comm::FaultPlan plan;
+    plan.add(rule);
+    par.set_fault_plan(&plan);
+    const auto res = par.run(gen, 4, 1, 1);
+    par.set_fault_plan(nullptr);
+    for (int e = 0; e < kNumPipelineEdges; ++e)
+      EXPECT_EQ(res.transport_copied_bytes[static_cast<size_t>(e)] > 0,
+                e == static_cast<int>(edge))
+          << sim_edge_name(static_cast<SimEdge>(e));
+    EXPECT_TRUE(res.faults.shed_cpis.empty());
+  }
 }
 
 TEST(ParallelPipeline, RejectsMismatchedScenario) {

@@ -299,7 +299,7 @@ TEST_F(TracedTest, CommEmitsFlowSpanOnDelivery) {
       fc.hop = 1;
       c.send<float>(1, tag, payload, &fc);
     } else {
-      (void)c.recv<float>(0, tag);
+      (void)c.recv(0, tag);
     }
   });
   const auto spans = snapshot();
@@ -331,8 +331,8 @@ TEST_F(TracedTest, PlainSendsAndMarkersEmitNoFlowSpan) {
       c.send<float>(1, 1, payload);  // no flow context
       c.send_marker(1, 2);
     } else {
-      (void)c.recv<float>(0, 1);
-      (void)c.recv_bytes_for(0, 2, 5.0);
+      (void)c.recv(0, 1);
+      (void)c.recv_for(0, 2, 5.0);
     }
   });
   for (const auto& s : snapshot())
@@ -352,7 +352,7 @@ TEST_F(TracedTest, FlightRecorderDumpsOnWorldAbort) {
   comm::World world(2);
   EXPECT_THROW(world.run([](comm::Comm& c2) {
                  if (c2.rank() == 1) throw Error("injected failure");
-                 (void)c2.recv_bytes_for(1, 9, 30.0);
+                 (void)c2.recv_for(1, 9, 30.0);
                }),
                Error);
 
